@@ -118,7 +118,7 @@ def load_sign_triplets(path):
     return ObservedSignMatrix(n_users, np.array(rows), np.array(cols), np.array(signs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     run_id: str
     solver: str

@@ -7,6 +7,7 @@ apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class TraceLassoPenalty:
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
 
+    @cached_property
+    def factor(self):
+        """R of design = QR, computed on first use. ||design Diag(x)||_* =
+        ||R Diag(x)||_*, so evaluations use this min(n, d) x d factor."""
+        return np.linalg.qr(self.design, mode="r")
+
     def _check_dim(self, x):
         if x.shape[0] != self.design.shape[1]:
             raise ValueError(
@@ -93,20 +100,20 @@ class TraceLassoPenalty:
     def value(self, x):
         x = as_vector(x)
         self._check_dim(x)
-        s = np.linalg.svd(self.design * x, compute_uv=False)
+        s = np.linalg.svd(self.factor * x, compute_uv=False)
         return self.lam * float(np.sum(s))
 
     def subgradient(self, x):
-        """lam * diag(design^T U V^T) from the thin SVD of design @ Diag(x),
-        keeping only directions with singular value above rank_rtol * s_max."""
+        """lam * diag(R^T U V^T) from the thin SVD of R @ Diag(x), keeping
+        only directions with singular value above rank_rtol * s_max."""
         x = as_vector(x)
         self._check_dim(x)
-        u, s, vt = np.linalg.svd(self.design * x, full_matrices=False)
+        u, s, vt = np.linalg.svd(self.factor * x, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return np.zeros_like(x)
         keep = s > self.rank_rtol * s[0]
         uv = u[:, keep] @ vt[keep]
-        return self.lam * np.einsum("ij,ij->j", self.design, uv)
+        return self.lam * np.einsum("ij,ij->j", self.factor, uv)
 
 
 @dataclass(frozen=True)

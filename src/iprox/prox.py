@@ -23,6 +23,7 @@ class ProxResult:
     gap_history: list = field(default_factory=list)
     converged: bool = True
     eps_is_heuristic: bool = False
+    dual: np.ndarray | None = None  # dual iterate, for warm starts of dual solvers
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,69 +271,52 @@ def prox_rank(y, r, mode="exact", power_iters=100, seed=0, exact_reference_max_d
     return ProxResult(point, eps, power_iters, [eps], True, eps_is_heuristic=heuristic)
 
 
-def prox_tracelasso_inexact(
-    y,
-    gamma,
-    penalty,
-    inner_budget=2000,
-    step_schedule=None,
-    eps_target=None,
-    x0=None,
-    step_offset=0,
-):
-    """Subgradient descent on the trace-lasso prox subproblem.
+def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=None, w0=None):
+    """FISTA ascent on the dual of the trace-lasso prox subproblem.
 
-    certified_eps comes from strong convexity: every subgradient q at x gives
-    the lower bound Q(x) - gamma * ||q||^2 / 2 on the subproblem minimum, and
-    the certificate is the best objective minus the best such bound. The
-    default schedule 2*gamma/(t+2) suits the 1/gamma-strongly-convex target;
-    step_offset lets warm-started callers keep shrinking the step across
-    calls instead of restarting the schedule.
+    lam * ||R Diag(x)||_*, R the design's QR factor, is the max of <x, g(W)>
+    over ||W||_op <= 1 with g(W) = lam * diag(R^T W). The dual is
+    D(W) = <g, y> - gamma ||g||^2 / 2, with primal point x(W) = y - gamma g
+    and gradient lam * R Diag(x(W)), (gamma lam^2 max_j ||R_j||^2)-Lipschitz;
+    the projection onto the ball clips W's singular values at 1.
+    certified_eps is the duality gap Q(x(W)) - D(W) of the best pair seen, so
+    gap_history is non-increasing; the loop stops once it meets eps_target
+    (never when that is None). w0 warm-starts W from a previous result's dual.
     """
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
         raise TypeError("penalty must be a TraceLassoPenalty")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if inner_budget < 0:
-        raise ValueError("inner_budget must be non-negative")
-    if penalty.lam == 0.0:
+    if inner_budget < 1:
+        raise ValueError("inner_budget must be positive")
+    penalty._check_dim(y)
+    lam_r = penalty.lam * penalty.factor
+    lip = gamma * float(np.max(np.sum(lam_r * lam_r, axis=0), initial=0.0))
+    if lip == 0.0:
         return ProxResult(y.copy(), 0.0, 0, [], True)
-    design = penalty.design
-    lam = penalty.lam
-    inv_gamma = 1.0 / gamma
-    if step_schedule is None:
-        step_schedule = lambda t: 2.0 * gamma / (t + 2.0)
 
-    x = y.copy() if x0 is None else as_vector(np.array(x0, dtype=np.float64, copy=True))
-    best_lb = -np.inf
-    best_q = np.inf
-    best_x = x.copy()
+    def primal(w):
+        return y - gamma * np.einsum("ij,ij->j", lam_r, w)
+
+    w = w_prev = np.zeros_like(lam_r) if w0 is None else w0
+    t = 1.0
+    best_gap, best_x, best_w = np.inf, None, None
     history = []
     iters = 0
-    for t in range(inner_budget):
-        u, s, vt = np.linalg.svd(design * x, full_matrices=False)
-        hval = lam * float(np.sum(s))
-        if s.size and s[0] > 0.0:
-            keep = s > penalty.rank_rtol * s[0]
-            hgrad = lam * np.einsum("ij,ij->j", design, u[:, keep] @ vt[keep])
-        else:
-            hgrad = np.zeros_like(x)
-        d = x - y
-        qx = 0.5 * inv_gamma * float(d @ d) + hval
-        grad = d * inv_gamma + hgrad
-        qn2 = float(grad @ grad)
-        best_lb = max(best_lb, qx - 0.5 * gamma * qn2)
-        if qx < best_q:
-            best_q, best_x = qx, x.copy()
-        gap = max(best_q - best_lb, 0.0)
-        history.append(gap)
-        if eps_target is not None and gap <= eps_target:
+    for _ in range(inner_budget):
+        x = primal(w)
+        m = lam_r * x
+        gap = max(float(np.sum(np.linalg.svd(m, compute_uv=False)) - np.sum(w * m)), 0.0)
+        if gap < best_gap:
+            best_gap, best_x, best_w = gap, x, w
+        history.append(best_gap)
+        if eps_target is not None and best_gap <= eps_target:
             break
-        if qn2 == 0.0:
-            break
-        x = x - step_schedule(t + step_offset) * grad
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        v = w + ((t - 1.0) / t_next) * (w - w_prev)
+        u, s, vt = np.linalg.svd(v + (lam_r * primal(v)) / lip, full_matrices=False)
+        w_prev, w, t = w, (u * np.minimum(s, 1.0)) @ vt, t_next
         iters += 1
-    certified = max(best_q - best_lb, 0.0) if history else 0.0
-    converged = eps_target is None or certified <= eps_target
-    return ProxResult(best_x, certified, iters, history, converged)
+    converged = eps_target is None or best_gap <= eps_target
+    return ProxResult(best_x, best_gap, iters, history, converged, dual=best_w)

@@ -137,7 +137,7 @@ class SolverConfig:
             raise ValueError("rank_mode must be 'exact' or 'power'")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     objective: float
@@ -172,32 +172,22 @@ class IterationTrace:
         return np.array([r.step_norm_sq for r in self.records[1:]])
 
     def key(self):
-        """Everything that must be reproducible; wall time is excluded."""
-        return tuple(
-            (r.k, r.objective, r.step_norm_sq, r.eps_k, r.certified_eps, r.inner_iters, r.branch)
+        """Packed float64 bytes of (k, objective, step_norm_sq, eps_k,
+        certified_eps, inner_iters) per record, and the branch labels; wall
+        time is excluded. Equal keys mean bit-identical traces."""
+        numbers = [
+            (r.k, r.objective, r.step_norm_sq, r.eps_k, r.certified_eps, r.inner_iters)
             for r in self.records
-        )
-
-
-class _WarmStart:
-    """Previous prox output plus a step-schedule clock, one per prox site."""
-
-    def __init__(self):
-        self.point = None
-        self.clock = 0
-
-    def start_from(self, anchor):
-        if self.point is not None and self.point.shape == anchor.shape:
-            return self.point
-        return None
-
-    def update(self, result):
-        self.point = result.point
-        self.clock += result.inner_iters
+        ]
+        return np.array(numbers, dtype=np.float64).tobytes(), tuple(r.branch for r in self.records)
 
 
 def _make_prox(penalty, use_exact, config):
-    """Bind a penalty to a callable (anchor, gamma, eps_k, warm) -> ProxResult."""
+    """Bind a penalty to a callable (anchor, gamma, eps_k, prev) -> ProxResult.
+
+    prev is the previous result at the same prox site, or None; inexact inner
+    solvers warm-start from its point (primal) or its dual iterate (dual).
+    """
 
     if isinstance(penalty, (L1Penalty, OscarPenalty)):
         if isinstance(penalty, L1Penalty):
@@ -210,15 +200,13 @@ def _make_prox(penalty, use_exact, config):
                 return prox_l1(anchor, gamma * l1)
             return prox_oscar_exact(anchor, gamma, l1, l2)
 
-        def call(anchor, gamma, eps_k, warm):
+        def call(anchor, gamma, eps_k, prev):
             if use_exact or eps_k == 0.0 or (l1 == 0.0 and l2 == 0.0):
                 return ProxResult(exact_call(anchor, gamma), 0.0, 0, [], True)
-            res = prox_oscar_inexact(
+            return prox_oscar_inexact(
                 anchor, gamma, l1, l2, eps_target=eps_k,
-                max_inner=config.inner_max_iters, x0=warm.start_from(anchor),
+                max_inner=config.inner_max_iters, x0=None if prev is None else prev.point,
             )
-            warm.update(res)
-            return res
 
         return call
 
@@ -226,20 +214,18 @@ def _make_prox(penalty, use_exact, config):
         if use_exact:
             raise ValueError("trace-lasso penalty has no exact prox; use an inexact solver kind")
 
-        def call(anchor, gamma, eps_k, warm):
-            res = prox_tracelasso_inexact(
+        def call(anchor, gamma, eps_k, prev):
+            return prox_tracelasso_inexact(
                 anchor, gamma, penalty, inner_budget=config.inner_max_iters,
-                eps_target=eps_k, x0=warm.start_from(anchor), step_offset=warm.clock,
+                eps_target=eps_k, w0=None if prev is None else prev.dual,
             )
-            warm.update(res)
-            return res
 
         return call
 
     if isinstance(penalty, RankConstraint):
         mode = "exact" if use_exact else config.rank_mode
 
-        def call(anchor, gamma, eps_k, warm):
+        def call(anchor, gamma, eps_k, prev):
             return prox_rank(
                 anchor, penalty.r, mode=mode,
                 power_iters=config.rank_power_iters, seed=config.seed,
@@ -333,13 +319,13 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
     start = time.perf_counter()
     records = [IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0)]
     iterates = [{"x": x.copy()}] if keep_iterates else None
-    warm = _WarmStart()
+    res = None
     prev_step_sq = 0.0
     streak = 0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
         _, grad = loss.eval(x)
-        res = prox(x - gamma * grad, gamma, eps_k, warm)
+        res = prox(x - gamma * grad, gamma, eps_k, res)
         x_next = res.point
         f_next, _ = _objective(loss, penalty, x_next)
         _check_finite(f_next, k, config.solver_kind, records)
@@ -371,14 +357,14 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
     start = time.perf_counter()
     records = [IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0)]
     iterates = [{"x": x_cur.copy()}] if keep_iterates else None
-    warm_z, warm_v = _WarmStart(), _WarmStart()
+    res_z = last_v = None  # latest result at each prox site, for warm starts
     prev_monitor_sq = 0.0
     streak = 0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_monitor_sq)
         y = extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur)
         _, grad_y = loss.eval(y)
-        res_z = prox(y - gamma * grad_y, gamma, eps_k, warm_z)
+        res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
         z_next = res_z.point
         f_z, _ = _objective(loss, penalty, z_next)
         _check_finite(f_z, k, config.solver_kind, records)
@@ -392,7 +378,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
             accepted_eps = res_z.certified_eps
         else:
             _, grad_x = loss.eval(x_cur)
-            res_v = prox(x_cur - gamma * grad_x, gamma, eps_k, warm_v)
+            res_v = last_v = prox(x_cur - gamma * grad_x, gamma, eps_k, last_v)
             v_next = res_v.point
             f_v, _ = _objective(loss, penalty, v_next)
             _check_finite(f_v, k, config.solver_kind, records)

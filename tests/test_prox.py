@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from iprox.bench import build_problem
 from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 from iprox.prox import (
     ProxResult,
@@ -15,6 +16,7 @@ from iprox.prox import (
     prox_rank,
     prox_tracelasso_inexact,
 )
+from iprox.solvers import SolverConfig, run_solver
 
 
 def oscar_q(x, y, gamma, l1, l2):
@@ -352,6 +354,56 @@ class TestProxTraceLasso:
     def test_wrong_penalty_type(self):
         with pytest.raises(TypeError):
             prox_tracelasso_inexact(np.ones(2), 1.0, L1Penalty(0.1))
+
+
+def tracelasso_q(x, y, gamma, lam, design):
+    """Subproblem objective from the design itself, not its QR factor."""
+    nuclear = float(np.sum(np.linalg.svd(design * x, compute_uv=False)))
+    return float(np.sum((x - y) ** 2)) / (2 * gamma) + lam * nuclear
+
+
+class TestProxTraceLassoDual:
+    @pytest.mark.parametrize("shape", [(9, 5), (20, 8), (4, 7), (3, 10)])
+    def test_certificate_sound_against_long_run_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(3):
+            design = rng.standard_normal(shape)
+            y = rng.standard_normal(shape[1])
+            lam, gamma = rng.uniform(0.1, 1.0), rng.uniform(0.3, 1.5)
+            p = TraceLassoPenalty(lam, design)
+            ref = prox_tracelasso_inexact(y, gamma, p, inner_budget=20_000, eps_target=1e-13)
+            q_ref = tracelasso_q(ref.point, y, gamma, lam, design)
+            for eps in (1e-1, 1e-3, 1e-6):
+                res = prox_tracelasso_inexact(y, gamma, p, eps_target=eps)
+                assert res.converged and 0.0 <= res.certified_eps <= eps
+                q = tracelasso_q(res.point, y, gamma, lam, design)
+                assert q - q_ref <= res.certified_eps + 1e-12
+
+    def test_warm_start_from_previous_dual_cuts_inner_iterations(self):
+        rng = np.random.default_rng(21)
+        design = rng.standard_normal((20, 10))
+        p = TraceLassoPenalty(0.5, design)
+        y = rng.standard_normal(10)
+        first = prox_tracelasso_inexact(y, 0.7, p, eps_target=1e-8)
+        nearby = y + 1e-2 * rng.standard_normal(10)
+        cold = prox_tracelasso_inexact(nearby, 0.7, p, eps_target=1e-8)
+        warm = prox_tracelasso_inexact(nearby, 0.7, p, eps_target=1e-8, w0=first.dual)
+        assert cold.converged and warm.converged
+        assert warm.inner_iters < cold.inner_iters
+        assert np.linalg.norm(first.dual, 2) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
+    def test_bench_size_run_meets_every_request(self, kind):
+        prob = build_problem("robust_tracelasso", seed=7)
+        trace = run_solver(
+            prob.loss, prob.regularizer, prob.x0,
+            SolverConfig(max_iters=30, solver_kind=kind, seed=7),
+        )
+        for r in trace.records[1:]:
+            # inner_converged covers every prox call of the iteration, rejected ones too
+            assert r.inner_converged, r.k
+            assert r.certified_eps <= r.eps_k
+            assert r.monitor_eps is None or r.monitor_eps <= r.eps_k
 
 
 def test_prox_result_defaults():

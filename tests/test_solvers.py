@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import iprox.solvers as solvers_mod
+from iprox.bench import build_problem
 from iprox.losses import RegressionDataset, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint
 from iprox.prox import prox_l1, prox_oscar_exact
@@ -272,6 +274,34 @@ class TestAcceleratedLoop:
         assert any(r.branch == "shortcut" for r in t_nm.records)
         assert nm_calls < acc_calls
         assert all(r.monitor_inner_iters == 0 for r in t_nm.records if r.branch == "shortcut")
+
+    def test_each_prox_site_warm_starts_from_its_own_previous_dual(self, monkeypatch):
+        prob = build_problem("robust_tracelasso", seed=0, params={"n": 30, "d": 6, "sparsity": 2})
+        calls = []
+        real = solvers_mod.prox_tracelasso_inexact
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs["w0"], res))
+            return res
+
+        monkeypatch.setattr(solvers_mod, "prox_tracelasso_inexact", recording)
+        trace = run_solver(
+            prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=40, solver_kind="nmaipg"),
+        )
+        branches = [r.branch for r in trace.records[1:]]
+        # the monitor site must be reached twice with a shortcut in between
+        monitored = [b for b in branches if b != "shortcut"]
+        assert 2 <= len(monitored) < len(branches)
+        last = {"z": None, "v": None}
+        calls = iter(calls)
+        for branch in branches:
+            for site in ("z",) if branch == "shortcut" else ("z", "v"):
+                w0, res = next(calls)
+                expected = None if last[site] is None else last[site].dual
+                assert w0 is expected
+                last[site] = res
+        assert next(calls, None) is None
 
 
 class TestGuards:
