@@ -134,6 +134,24 @@ class ExperimentResult:
         return not self.failures
 
 
+def run_to_rows(run_id, loss, penalty, x0, config):
+    """Run one solver and flatten it into trace rows.
+
+    Returns (trace, rows, None) on success and (None, rows, message) when the
+    run raises: rows then keep the records completed before a SolverAbort and
+    end with a `failed` row.
+    """
+    kind = config.solver_kind
+    try:
+        trace = run_solver(loss, penalty, x0, config)
+    except (RuntimeError, ValueError, TypeError) as exc:  # SolverAbort is a RuntimeError
+        records = exc.records if isinstance(exc, SolverAbort) else []
+        rows = trace_rows(run_id, kind, IterationTrace(kind, float("nan"), config.seed, records, x0))
+        rows.append(TraceRow(run_id, kind, len(records), 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed"))
+        return None, rows, str(exc)
+    return trace, trace_rows(run_id, kind, trace), None
+
+
 def run_experiment(spec):
     """Run every configured solver on the shared instance and write the trace CSV.
 
@@ -142,28 +160,13 @@ def run_experiment(spec):
     """
     problem = build_problem(spec.application, spec.seed, spec.params, spec.data_path)
     run_id = f"{spec.application}-s{spec.seed}"
-    rows = []
-    traces = []
-    failures = []
+    rows, traces, failures = [], [], []
     for config in spec.configs:
-        kind = config.solver_kind
-        try:
-            trace = run_solver(problem.loss, problem.regularizer, problem.x0, config)
-        except SolverAbort as exc:
-            failures.append((kind, str(exc)))
-            partial = IterationTrace(kind, float("nan"), config.seed, exc.records, problem.x0)
-            rows.extend(trace_rows(run_id, kind, partial))
-            rows.append(
-                TraceRow(run_id, kind, len(exc.records), 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed")
-            )
-            continue
-        except (RuntimeError, ValueError, TypeError) as exc:
-            failures.append((kind, str(exc)))
-            rows.append(
-                TraceRow(run_id, kind, 0, 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed")
-            )
-            continue
-        traces.append((kind, trace))
-        rows.extend(trace_rows(run_id, kind, trace))
+        trace, run_rows, error = run_to_rows(run_id, problem.loss, problem.regularizer, problem.x0, config)
+        rows.extend(run_rows)
+        if error is None:
+            traces.append((config.solver_kind, trace))
+        else:
+            failures.append((config.solver_kind, error))
     path = write_trace_csv(spec.out_path, rows)
     return ExperimentResult(spec, problem, traces, failures, path)

@@ -12,27 +12,18 @@ import sys
 
 import numpy as np
 
-from .bench import APP_DEFAULTS, APPLICATIONS, ExperimentSpec, run_experiment
+from .bench import APP_DEFAULTS, APPLICATIONS, ExperimentSpec, run_experiment, run_to_rows
 from .datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 from .dataio import (
-    TraceRow,
     load_regression_csv,
     load_sign_triplets,
-    trace_rows,
     write_regression_csv,
     write_sign_triplets,
     write_trace_csv,
 )
 from .losses import CorrentropyLoss, MaskedLogisticLoss, SquareLoss
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
-from .solvers import (
-    SOLVER_KINDS,
-    ErrorSchedule,
-    IterationTrace,
-    SolverAbort,
-    SolverConfig,
-    run_solver,
-)
+from .solvers import SOLVER_KINDS, ErrorSchedule, SolverConfig
 
 
 def parse_eps_spec(text):
@@ -209,23 +200,12 @@ def _cmd_solve(args):
     failed = False
     for config in _build_configs(args):
         kind = config.solver_kind
-        try:
-            trace = run_solver(loss, penalty, x0, config)
-        except SolverAbort as exc:
+        trace, run_rows, error = run_to_rows(run_id, loss, penalty, x0, config)
+        rows.extend(run_rows)
+        if error is not None:
             failed = True
-            print(f"solver {kind} failed: {exc}", file=sys.stderr)
-            partial = IterationTrace(kind, float("nan"), config.seed, exc.records, x0)
-            rows.extend(trace_rows(run_id, kind, partial))
-            rows.append(
-                TraceRow(run_id, kind, len(exc.records), 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed")
-            )
+            print(f"solver {kind} failed: {error}", file=sys.stderr)
             continue
-        except (RuntimeError, ValueError, TypeError) as exc:
-            failed = True
-            print(f"solver {kind} failed: {exc}", file=sys.stderr)
-            rows.append(TraceRow(run_id, kind, 0, 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed"))
-            continue
-        rows.extend(trace_rows(run_id, kind, trace))
         final = trace.records[-1].objective
         print(f"{kind}: iters={trace.records[-1].k} objective={final:.10g}")
     if args.out is not None:

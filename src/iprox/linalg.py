@@ -76,30 +76,11 @@ def truncated_svd_exact(a, r):
     return SvdFactors(u, s[:r].copy(), v)
 
 
-def _orthonormalize(q):
-    """Modified Gram-Schmidt with deterministic re-seeding of degenerate columns."""
-    q = np.array(q, dtype=np.float64)
-    n, r = q.shape
-    fallback = 0
-    for j in range(r):
-        for _ in range(2):  # second sweep keeps orthogonality near machine precision
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-            nrm = np.linalg.norm(q[:, j])
-            if nrm > 1e-12:
-                q[:, j] /= nrm
-            else:
-                q[:, j] = 0.0
-                q[fallback % n, j] = 1.0
-                fallback += 1
-    return q
-
-
 def truncated_svd_power(a, r, power_iters, seed):
     """Approximate rank-r factors via seeded subspace/power iteration.
 
     Deterministic for fixed inputs and seed; the subspace is re-orthonormalized
-    every sweep so the returned factors satisfy the SvdFactors invariants.
+    by QR every sweep so the returned factors satisfy the SvdFactors invariants.
     """
     a = as_matrix(a)
     if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(a.shape):
@@ -107,9 +88,9 @@ def truncated_svd_power(a, r, power_iters, seed):
     if power_iters < 1:
         raise ValueError("power_iters must be a positive integer")
     rng = np.random.default_rng(seed)
-    q = _orthonormalize(rng.standard_normal((a.shape[1], r)))
+    q = np.linalg.qr(rng.standard_normal((a.shape[1], r)))[0]
     for _ in range(power_iters):
-        q = _orthonormalize(a.T @ (a @ q))
+        q = np.linalg.qr(a.T @ (a @ q))[0]
     b = a @ q
     ub, s, wt = np.linalg.svd(b, full_matrices=False)
     u, v = _canonical_signs(ub.copy(), (q @ wt.T).copy())

@@ -23,7 +23,7 @@ class ProxResult:
     gap_history: list = field(default_factory=list)
     converged: bool = True
     eps_is_heuristic: bool = False
-    dual: np.ndarray | None = None  # dual iterate, for warm starts of dual solvers
+    dual: np.ndarray | None = None  # dual iterate or subspace basis, for warm starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +243,23 @@ def prox_oscar_inexact(
     return ProxResult(best_x, certified, t, history, converged=certified <= eps_target)
 
 
-def prox_rank(y, r, mode="exact", power_iters=100, seed=0, exact_reference_max_dim=500):
-    """Projection onto matrices of rank <= r by truncated SVD.
+def prox_rank(
+    y, r, mode="exact", power_iters=100, seed=0, exact_reference_max_dim=500,
+    gamma=0.5, eps_target=None, v0=None,
+):
+    """Projection onto matrices of rank <= r, the prox of the rank indicator.
 
-    Exact mode certifies zero error. Power mode certifies against an exact
-    reference when the matrix is small enough; beyond that the certificate
-    is the squared residual of the power factors and is flagged heuristic.
+    Exact mode truncates a full SVD and certifies zero error. Power mode, up
+    to exact_reference_max_dim, runs subspace iteration Q <- qr(G Q) on the
+    smaller Gram matrix G of y, from v0 (a previous result's dual, its basis
+    Q) or a seeded Gaussian block, and returns y Q Q^T (Q Q^T y for wide y)
+    with dual = Q. With top the sum of the r largest eigvalsh of G,
+    ||y - P||^2 - min = top - tr(Q^T G Q); certified_eps is that gap over
+    2 gamma, the subproblem gap. The sweeps stop at the rounding level
+    G.shape[0] * eps_mach * top, or after power_iters QR sweeps. Beyond the
+    cutoff, truncated_svd_power runs all power_iters sweeps from the seeded
+    start and certified_eps is its factors' Rayleigh residual over 2 gamma,
+    flagged heuristic. eps_target only sets converged; it stops no sweep.
     """
     y = as_matrix(y)
     if mode == "exact":
@@ -256,19 +267,38 @@ def prox_rank(y, r, mode="exact", power_iters=100, seed=0, exact_reference_max_d
         return ProxResult(point, 0.0, 0, [], True)
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
-    f = truncated_svd_power(y, r, power_iters, seed)
-    point = f.reconstruct()
-    resid_sq = float(np.sum((y - point) ** 2))
-    if max(y.shape) <= exact_reference_max_dim:
-        exact = truncated_svd_exact(y, r).reconstruct()
-        eps = max(resid_sq - float(np.sum((y - exact) ** 2)), 0.0)
-        heuristic = False
-    else:
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(y.shape):
+        raise ValueError(f"rank r={r} outside [1, {min(y.shape)}]")
+    if power_iters < 1 or gamma <= 0:
+        raise ValueError("power_iters and gamma must be positive")
+    if max(y.shape) > exact_reference_max_dim:
+        f = truncated_svd_power(y, r, power_iters, seed)
         # Rayleigh residuals of the factor pair; cheap but not a true bound.
-        eps = float(np.sum((y @ f.v - f.u * f.s) ** 2))
-        eps += float(np.sum((y.T @ f.u - f.v * f.s) ** 2))
-        heuristic = True
-    return ProxResult(point, eps, power_iters, [eps], True, eps_is_heuristic=heuristic)
+        eps = float(np.sum((y @ f.v - f.u * f.s) ** 2) + np.sum((y.T @ f.u - f.v * f.s) ** 2)) / (2.0 * gamma)
+        return ProxResult(
+            f.reconstruct(), eps, power_iters, [eps], eps_target is None or eps <= eps_target,
+            eps_is_heuristic=True,
+        )
+    wide = y.shape[0] < y.shape[1]
+    a = y.T if wide else y
+    g = a.T @ a
+    top = float(np.sum(np.linalg.eigvalsh(g)[-r:]))
+    tol = g.shape[0] * np.finfo(np.float64).eps * top
+    start = np.random.default_rng(seed).standard_normal((g.shape[0], r)) if v0 is None else v0
+    q = np.linalg.qr(start)[0]
+    history = []
+    for sweeps in range(power_iters + 1):
+        gq = g @ q
+        gap = max(top - float(np.sum(q * gq)), 0.0)
+        history.append(gap / (2.0 * gamma))
+        if gap <= tol or sweeps == power_iters:
+            break
+        q = np.linalg.qr(gq)[0]
+    point = (a @ q) @ q.T
+    return ProxResult(
+        point.T if wide else point, history[-1], sweeps, history,
+        eps_target is None or history[-1] <= eps_target, dual=q,
+    )
 
 
 def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=None, w0=None):

@@ -122,7 +122,7 @@ class SolverConfig:
     objective_tolerance: float | None = None  # early stopping, off by default
     inner_max_iters: int = 2000
     rank_mode: str = "power"  # SVD mode for rank prox under inexact kinds
-    rank_power_iters: int = 100
+    rank_power_iters: int = 100  # QR sweep budget of each power-mode rank prox call
 
     def __post_init__(self):
         if self.solver_kind not in SOLVER_KINDS:
@@ -186,7 +186,8 @@ def _make_prox(penalty, use_exact, config):
     """Bind a penalty to a callable (anchor, gamma, eps_k, prev) -> ProxResult.
 
     prev is the previous result at the same prox site, or None; inexact inner
-    solvers warm-start from its point (primal) or its dual iterate (dual).
+    solvers warm-start from its point (primal) or its dual iterate (dual; the
+    subspace basis for the power-mode rank prox).
     """
 
     if isinstance(penalty, (L1Penalty, OscarPenalty)):
@@ -227,8 +228,9 @@ def _make_prox(penalty, use_exact, config):
 
         def call(anchor, gamma, eps_k, prev):
             return prox_rank(
-                anchor, penalty.r, mode=mode,
-                power_iters=config.rank_power_iters, seed=config.seed,
+                anchor, penalty.r, mode=mode, power_iters=config.rank_power_iters,
+                seed=config.seed, gamma=gamma, eps_target=eps_k,
+                v0=None if prev is None else prev.dual,
             )
 
         return call

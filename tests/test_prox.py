@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iprox.bench import build_problem
-from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
+from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import (
     ProxResult,
     ProxSubproblem,
@@ -293,6 +293,7 @@ class TestProxRank:
         assert 0.0 <= res.certified_eps <= 1e-8
         assert not res.eps_is_heuristic
         assert res.gap_history
+        assert res.inner_iters < 80  # well gapped: stops before the budget
 
     def test_power_mode_heuristic_flag_at_scale(self):
         rng = np.random.default_rng(11)
@@ -300,10 +301,52 @@ class TestProxRank:
         res = prox_rank(y, 2, mode="power", power_iters=30, seed=1)
         assert res.eps_is_heuristic
         assert np.isfinite(res.certified_eps) and res.certified_eps >= 0.0
+        assert res.inner_iters == 30  # no reference: the whole budget runs
+        assert RankConstraint(2).feasible(res.point)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             prox_rank(np.eye(3), 1, mode="lanczos")
+
+
+class TestProxRankPower:
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+    @pytest.mark.parametrize("gamma", [0.1, 7.2])
+    def test_certificate_is_the_subproblem_gap(self, shape, gamma):
+        rng = np.random.default_rng(sum(shape))
+        y = rng.standard_normal(shape)  # flat spectrum: few sweeps leave a visible gap
+        y /= np.linalg.norm(y)
+        sub = ProxSubproblem(y, gamma, RankConstraint(3))
+        q_min = sub.objective(prox_rank(y, 3).point)
+        for iters in (1, 3, 10, 100):
+            res = prox_rank(y, 3, mode="power", power_iters=iters, seed=2, gamma=gamma)
+            gap = sub.objective(res.point) - q_min
+            assert gap <= res.certified_eps + 1e-12  # sound
+            assert res.certified_eps <= gap + 1e-12  # tight
+            assert res.certified_eps == res.gap_history[-1]
+            assert len(res.gap_history) == res.inner_iters + 1
+            assert not res.eps_is_heuristic
+
+    def test_warm_start_from_previous_dual_cuts_sweeps(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((60, 4)) @ rng.standard_normal((4, 50))
+        y += 0.3 * rng.standard_normal((60, 50))
+        first = prox_rank(y, 4, mode="power", seed=0)
+        nearby = y + 1e-3 * rng.standard_normal(y.shape)
+        cold = prox_rank(nearby, 4, mode="power", seed=0)
+        warm = prox_rank(nearby, 4, mode="power", seed=0, v0=first.dual)
+        assert first.dual.shape == (50, 4)
+        assert cold.inner_iters < 100 and warm.inner_iters < cold.inner_iters
+        exact = prox_rank(nearby, 4).point
+        assert np.linalg.norm(warm.point - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_converged_reports_whether_the_target_was_met(self):
+        y = np.random.default_rng(7).standard_normal((20, 20))
+        loose = prox_rank(y, 2, mode="power", power_iters=1, seed=0)
+        assert loose.converged and loose.certified_eps > 1e-3
+        for target, met in ((1e-3, False), (loose.certified_eps, True)):
+            res = prox_rank(y, 2, mode="power", power_iters=1, seed=0, eps_target=target)
+            assert res.converged is met
 
 
 class TestProxTraceLasso:

@@ -416,3 +416,57 @@ class TestMatrixRuns:
             run_matrix_solver(loss, constraint, np.zeros(10), cfg)
         with pytest.raises(TypeError):
             run_matrix_solver(loss, L1Penalty(0.1), np.zeros((3, 3)), cfg)
+
+
+class TestRankPowerRuns:
+    def test_each_rank_prox_site_warm_starts_from_its_own_previous_basis(self, monkeypatch):
+        prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+        calls = []
+        real = solvers_mod.prox_rank
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs["v0"], res))
+            return res
+
+        monkeypatch.setattr(solvers_mod, "prox_rank", recording)
+        trace = run_solver(
+            prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=40, solver_kind="nmaipg"),
+        )
+        branches = [r.branch for r in trace.records[1:]]
+        # the monitor site must be reached twice with a shortcut in between
+        monitored = [b for b in branches if b != "shortcut"]
+        assert 2 <= len(monitored) < len(branches)
+        last = {"z": None, "v": None}
+        calls = iter(calls)
+        for branch in branches:
+            for site in ("z",) if branch == "shortcut" else ("z", "v"):
+                v0, res = next(calls)
+                expected = None if last[site] is None else last[site].dual
+                assert v0 is expected
+                last[site] = res
+        assert next(calls, None) is None
+
+    @pytest.mark.parametrize("kind,twin", [("ipg", "pg"), ("aipg", "apg"), ("nmaipg", "nmapg")])
+    def test_bench_size_run_tracks_exact_twin_and_meets_every_request(self, kind, twin, monkeypatch):
+        prob = build_problem("link_prediction", seed=7, params={"n_users": 200})
+        certs = []  # (eps_target, certified_eps) of every prox call, rejected ones too
+        real = solvers_mod.prox_rank
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            certs.append((kwargs["eps_target"], res.certified_eps))
+            return res
+
+        monkeypatch.setattr(solvers_mod, "prox_rank", recording)
+        finals = {}
+        for k in (twin, kind):
+            certs.clear()
+            trace = run_solver(
+                prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=30, solver_kind=k, seed=7),
+            )
+            finals[k] = trace.records[-1].objective
+        assert abs(finals[kind] - finals[twin]) <= 1e-6 * abs(finals[twin])
+        assert len(certs) >= 30
+        assert all(cert <= eps for eps, cert in certs)
+        assert all(r.inner_converged for r in trace.records[1:])
