@@ -104,7 +104,7 @@ class CorrentropyLoss:
         res = self.dataset.targets - self.dataset.design @ x
         e = np.exp(-((res / self.sigma) ** 2))
         value = 0.5 * self.sigma**2 * float(np.sum(1.0 - e))
-        grad = -self.dataset.design.T @ (e * res)
+        grad = -(self.dataset.design.T @ (e * res))
         return value, grad
 
     def lipschitz(self):

@@ -55,20 +55,15 @@ def _pav_nonincreasing(z):
     """Euclidean projection of a sequence onto non-increasing sequences."""
     sums = []
     counts = []
-    for val in z:
-        cur_sum, cur_cnt = float(val), 1
+    for cur_sum in z.tolist():
+        cur_cnt = 1
         # pooling keeps block means non-increasing left to right
         while sums and sums[-1] * cur_cnt < cur_sum * counts[-1]:
             cur_sum += sums.pop()
             cur_cnt += counts.pop()
         sums.append(cur_sum)
         counts.append(cur_cnt)
-    out = np.empty(len(z))
-    pos = 0
-    for s, c in zip(sums, counts):
-        out[pos : pos + c] = s / c
-        pos += c
-    return out
+    return np.repeat(np.divide(sums, counts), counts)
 
 
 def prox_oscar_exact(y, gamma, lambda1, lambda2):

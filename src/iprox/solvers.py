@@ -11,6 +11,9 @@ the current x). Accepting whichever has the smaller objective is what makes
 acceleration safe on non-convex problems. The non-monotone variant first
 tries to accept z outright whenever it improves on f(x_k) by at least
 (delta/2) * ||z - y||^2, skipping the monitor prox entirely on such steps.
+
+The loss is evaluated once per point: the gradient returned with an accepted
+point's objective is the one the next iteration steps from.
 """
 from __future__ import annotations
 
@@ -304,9 +307,9 @@ def _init_state(loss, penalty, x0, config):
     gamma = _resolve_gamma(loss, config)
     exact = config.solver_kind in EXACT_KINDS
     prox = _make_prox(penalty, exact, config)
-    f0, _ = _objective(loss, penalty, x0)
+    f0, grad0 = _objective(loss, penalty, x0)
     _check_finite(f0, 0, config.solver_kind)
-    return x0.copy(), gamma, exact, prox, f0
+    return x0.copy(), gamma, exact, prox, f0, grad0
 
 
 def _early_stop(streak, f_new, f_old, tol):
@@ -317,7 +320,7 @@ def _early_stop(streak, f_new, f_old, tol):
 
 
 def _run_basic(loss, penalty, x0, config, keep_iterates):
-    x, gamma, exact, prox, f_cur = _init_state(loss, penalty, x0, config)
+    x, gamma, exact, prox, f_cur, grad = _init_state(loss, penalty, x0, config)
     start = time.perf_counter()
     records = [IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0)]
     iterates = [{"x": x.copy()}] if keep_iterates else None
@@ -326,10 +329,9 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
     streak = 0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
-        _, grad = loss.eval(x)
         res = prox(x - gamma * grad, gamma, eps_k, res)
         x_next = res.point
-        f_next, _ = _objective(loss, penalty, x_next)
+        f_next, grad_next = _objective(loss, penalty, x_next)
         _check_finite(f_next, k, config.solver_kind, records)
         step_sq = _sq_norm(x_next - x)
         records.append(
@@ -344,14 +346,14 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
             iterates.append({"x": x_next.copy()})
         prev_step_sq = step_sq
         streak, stop = _early_stop(streak, f_next, f_cur, config.objective_tolerance)
-        x, f_cur = x_next, f_next
+        x, f_cur, grad = x_next, f_next, grad_next
         if stop:
             break
     return IterationTrace(config.solver_kind, gamma, config.seed, records, x, iterates)
 
 
 def _run_accelerated(loss, penalty, x0, config, keep_iterates):
-    x_cur, gamma, exact, prox, f_cur = _init_state(loss, penalty, x0, config)
+    x_cur, gamma, exact, prox, f_cur, grad_cur = _init_state(loss, penalty, x0, config)
     nonmonotone = config.solver_kind in ("nmapg", "nmaipg")
     x_prev = x_cur.copy()
     z_cur = x_cur.copy()
@@ -368,7 +370,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         _, grad_y = loss.eval(y)
         res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
         z_next = res_z.point
-        f_z, _ = _objective(loss, penalty, z_next)
+        f_z, grad_z = _objective(loss, penalty, z_next)
         _check_finite(f_z, k, config.solver_kind, records)
         z_step_sq = _sq_norm(z_next - y)
 
@@ -376,20 +378,19 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         f_v = None
         v_step_sq = None
         if nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq:
-            x_next, f_next, branch = z_next, f_z, "shortcut"
+            x_next, f_next, grad_next, branch = z_next, f_z, grad_z, "shortcut"
             accepted_eps = res_z.certified_eps
         else:
-            _, grad_x = loss.eval(x_cur)
-            res_v = last_v = prox(x_cur - gamma * grad_x, gamma, eps_k, last_v)
+            res_v = last_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
             v_next = res_v.point
-            f_v, _ = _objective(loss, penalty, v_next)
+            f_v, grad_v = _objective(loss, penalty, v_next)
             _check_finite(f_v, k, config.solver_kind, records)
             v_step_sq = _sq_norm(v_next - x_cur)
             if f_z <= f_v:
-                x_next, f_next, branch = z_next, f_z, "z-accepted"
+                x_next, f_next, grad_next, branch = z_next, f_z, grad_z, "z-accepted"
                 accepted_eps = res_z.certified_eps
             else:
-                x_next, f_next, branch = v_next, f_v, "v-accepted"
+                x_next, f_next, grad_next, branch = v_next, f_v, grad_v, "v-accepted"
                 accepted_eps = res_v.certified_eps
 
         t_next = momentum_next(t_cur)
@@ -424,7 +425,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         x_prev, x_cur = x_cur, x_next
         z_cur = z_next
         t_prev, t_cur = t_cur, t_next
-        f_cur = f_next
+        f_cur, grad_cur = f_next, grad_next
         if stop:
             break
     return IterationTrace(config.solver_kind, gamma, config.seed, records, x_cur, iterates)

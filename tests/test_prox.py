@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iprox.bench import build_problem
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import (
     ProxResult,
+    _pav_nonincreasing,
     ProxSubproblem,
     oscar_dual_gap,
     oscar_dual_gauge,
@@ -87,6 +91,63 @@ class TestProxL1:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             prox_l1(np.ones(2), -0.1)
+
+
+def pav_loop_reference(z):
+    """Loop-form pooling, the bitwise reference: numpy scalars in, one slice per block out."""
+    sums = []
+    counts = []
+    for val in z:
+        cur_sum, cur_cnt = float(val), 1
+        while sums and sums[-1] * cur_cnt < cur_sum * counts[-1]:
+            cur_sum += sums.pop()
+            cur_cnt += counts.pop()
+        sums.append(cur_sum)
+        counts.append(cur_cnt)
+    out = np.empty(len(z))
+    pos = 0
+    for s, c in zip(sums, counts):
+        out[pos : pos + c] = s / c
+        pos += c
+    return out
+
+
+PAV_SHAPES = ("raw", "rounded", "constant", "increasing", "nonincreasing")
+
+
+@st.composite
+def pav_inputs(draw):
+    base = draw(
+        arrays(
+            np.float64,
+            st.integers(min_value=1, max_value=300),
+            elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        )
+    )
+    shape = draw(st.sampled_from(PAV_SHAPES))
+    if shape == "rounded":  # ties, within and across blocks
+        return shape, np.round(base, draw(st.integers(min_value=-2, max_value=1)))
+    if shape == "constant":
+        return shape, np.full(base.shape, base[0])
+    if shape == "increasing":
+        return shape, np.cumsum(np.abs(base) + 1.0)
+    if shape == "nonincreasing":
+        return shape, np.sort(base)[::-1]
+    return shape, base
+
+
+class TestPoolAdjacentViolators:
+    @settings(max_examples=300, deadline=None)
+    @given(pav_inputs())
+    def test_matches_loop_reference_bitwise(self, case):
+        shape, z = case
+        out = _pav_nonincreasing(z)
+        assert np.array_equal(out, pav_loop_reference(z))
+        assert np.all(np.diff(out) <= 0.0)
+        if shape == "increasing":
+            assert np.all(out == out[0])
+        if shape in ("constant", "nonincreasing"):
+            assert np.array_equal(out, z)
 
 
 class TestProxOscarExact:

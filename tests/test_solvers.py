@@ -8,8 +8,9 @@ import iprox.solvers as solvers_mod
 from iprox.bench import build_problem
 from iprox.losses import RegressionDataset, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint
-from iprox.prox import prox_l1, prox_oscar_exact
+from iprox.prox import prox_l1, prox_oscar_exact, prox_rank
 from iprox.solvers import (
+    SOLVER_KINDS,
     ErrorSchedule,
     SolverConfig,
     extrapolate,
@@ -302,6 +303,109 @@ class TestAcceleratedLoop:
                 assert w0 is expected
                 last[site] = res
         assert next(calls, None) is None
+
+
+class CountingLoss:
+    """Forwards to a loss and counts its eval calls."""
+
+    def __init__(self, loss):
+        self.loss = loss
+        self.evals = 0
+
+    def lipschitz(self):
+        return self.loss.lipschitz()
+
+    def eval(self, x):
+        self.evals += 1
+        return self.loss.eval(x)
+
+
+def reference_from_scratch(loss, penalty, x0, gamma, kind, iters, delta=0.6):
+    """Straight-line pg/apg/nmapg with the exact prox that recomputes every
+    gradient and objective at the point where it is needed."""
+    if isinstance(penalty, RankConstraint):
+        prox = lambda y: prox_rank(y, penalty.r, mode="exact").point
+    else:
+        prox = lambda y: prox_oscar_exact(y, gamma, penalty.lambda1, penalty.lambda2)
+    f = lambda x: loss.eval(x)[0] + penalty.value(x)
+    step = lambda x: prox(x - gamma * loss.eval(x)[1])
+    x = x0.copy()
+    points = [x]
+    if kind == "pg":
+        for _ in range(iters):
+            x = step(x)
+            points.append(x)
+        return points, []
+    x_prev, z = x, x
+    t_prev, t_cur = 0.0, 1.0
+    branches = []
+    for _ in range(iters):
+        y = extrapolate(x, x_prev, z, t_prev, t_cur)
+        z_next = step(y)
+        f_z = f(z_next)
+        if kind == "nmapg" and f_z <= f(x) - 0.5 * delta * float(np.sum((z_next - y) ** 2)):
+            x_next = z_next
+            branches.append("shortcut")
+        else:
+            v_next = step(x)
+            x_next = z_next if f_z <= f(v_next) else v_next
+            branches.append("z-accepted" if x_next is z_next else "v-accepted")
+        x_prev, x, z = x, x_next, z_next
+        t_prev, t_cur = t_cur, momentum_next(t_cur)
+        points.append(x)
+    return points, branches
+
+
+class TestOracleCalls:
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_one_loss_eval_per_evaluated_point(self, kind):
+        # pg: f and grad at each new point; apg: at y, z and v; nmapg skips v on shortcuts
+        loss, penalty, x0 = oscar_instance(seed=2)
+        counting = CountingLoss(loss)
+        cfg = SolverConfig(max_iters=40, solver_kind=kind, gamma=0.4 / loss.lipschitz())
+        trace = run_solver(counting, penalty, x0, cfg)
+        branches = [r.branch for r in trace.records[1:]]
+        iters = len(branches)
+        if kind in ("pg", "ipg"):
+            expected = 1 + iters
+        elif kind in ("apg", "aipg"):
+            expected = 1 + 3 * iters
+        else:
+            shortcuts = branches.count("shortcut")
+            assert 0 < shortcuts < iters
+            expected = 1 + 2 * shortcuts + 3 * (iters - shortcuts)
+        assert counting.evals == expected
+
+    @pytest.mark.parametrize(
+        "problem,kind,seen",
+        [
+            ("oscar", "pg", set()),
+            ("oscar", "apg", {"z-accepted", "v-accepted"}),
+            ("oscar", "nmapg", {"shortcut", "v-accepted"}),
+            ("link_prediction", "pg", set()),
+            ("link_prediction", "apg", {"z-accepted"}),
+            ("link_prediction", "nmapg", {"shortcut", "z-accepted"}),
+        ],
+        ids=lambda v: "-".join(sorted(v)) if isinstance(v, set) else v,
+    )
+    def test_reused_gradients_match_recomputed_ones_bitwise(self, problem, kind, seen):
+        # seen pins the branches taken, so a drift that stops exercising one shows here
+        if problem == "oscar":
+            loss, penalty, x0 = oscar_instance(seed=5)
+            gamma = 0.4 / loss.lipschitz()
+        else:
+            prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+            loss, penalty, x0 = prob.loss, prob.regularizer, prob.x0
+            gamma = 0.9 / loss.lipschitz()
+        cfg = SolverConfig(max_iters=40, solver_kind=kind, gamma=gamma, delta=0.6, rank_mode="exact")
+        trace = run_solver(loss, penalty, x0, cfg, keep_iterates=True)
+        expected, branches = reference_from_scratch(loss, penalty, x0, gamma, kind, 40, delta=0.6)
+        assert set(branches) == seen
+        if kind != "pg":
+            assert [r.branch for r in trace.records[1:]] == branches
+        assert len(trace.iterates) == len(expected) == 41
+        for got, want in zip(trace.iterates, expected):
+            assert np.array_equal(got["x"], want)
 
 
 class TestGuards:
