@@ -53,10 +53,6 @@ from .solvers import (
     SolverConfig,
     extrapolate,
     momentum_next,
-    run_aipg,
-    run_ipg,
-    run_matrix_solver,
-    run_nmaipg,
     run_solver,
     schedule_eps,
 )
@@ -102,11 +98,7 @@ __all__ = [
     "prox_oscar_inexact",
     "prox_rank",
     "prox_tracelasso_inexact",
-    "run_aipg",
     "run_experiment",
-    "run_ipg",
-    "run_matrix_solver",
-    "run_nmaipg",
     "run_solver",
     "schedule_eps",
     "write_regression_csv",

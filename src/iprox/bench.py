@@ -46,13 +46,9 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.application not in APPLICATIONS:
-            raise ValueError(f"unknown application {self.application!r}")
+        _app_params(self.application, self.params)
         if not self.configs:
             raise ValueError("at least one solver config is required")
-        unknown = set(self.params) - set(APP_DEFAULTS[self.application])
-        if unknown:
-            raise ValueError(f"parameters {sorted(unknown)} not used by {self.application}")
 
 
 @dataclass
@@ -73,37 +69,49 @@ def _standardized(dataset):
     return scaled, mean, sd
 
 
-def build_problem(application, seed=0, params=None, data_path=None):
-    """Materialize the dataset and the loss/regularizer pair for one application."""
+def _app_params(application, params):
+    """APP_DEFAULTS of the application updated by params; unknown names raise."""
     if application not in APPLICATIONS:
         raise ValueError(f"unknown application {application!r}")
-    p = dict(APP_DEFAULTS[application])
-    p.update(params or {})
+    unknown = set(params or {}) - set(APP_DEFAULTS[application])
+    if unknown:
+        raise ValueError(f"parameters {sorted(unknown)} not used by {application}")
+    return {**APP_DEFAULTS[application], **(params or {})}
 
+
+def generate(application, seed=0, params=None):
+    """Seeded synthetic data of one application: (dataset, ground truth).
+
+    The dataset is an ObservedSignMatrix for link_prediction and a
+    RegressionDataset otherwise.
+    """
+    p = _app_params(application, params)
     if application == "link_prediction":
-        if data_path is not None:
-            observed = load_sign_triplets(data_path)
-            truth = None
-            rank = p["true_rank"]
-        else:
-            observed, truth = gen_signed_lowrank(
-                p["n_users"], p["true_rank"], p["obs_frac"], p["margin"], seed,
-            )
-            rank = p["true_rank"]
-        loss = MaskedLogisticLoss(observed)
-        x0 = np.zeros((observed.n_users, observed.n_users))
-        return Problem(loss, RankConstraint(rank), x0, extras={"truth": truth, "observed": observed})
-
-    if data_path is not None:
-        dataset, x_true = load_regression_csv(data_path), None
-    elif application == "robust_oscar":
-        dataset, x_true = gen_grouped_regression(
+        return gen_signed_lowrank(p["n_users"], p["true_rank"], p["obs_frac"], p["margin"], seed)
+    if application == "robust_oscar":
+        return gen_grouped_regression(
             p["n"], p["d"], p["n_groups"], p["outlier_frac"], p["noise_sd"], seed,
         )
+    return gen_correlated_design(
+        p["n"], p["d"], p["correlation"], p["sparsity"], p["noise_sd"], p["outlier_frac"], seed,
+    )
+
+
+def build_problem(application, seed=0, params=None, data_path=None):
+    """Materialize the dataset and the loss/regularizer pair for one application."""
+    p = _app_params(application, params)
+    if data_path is None:
+        dataset, x_true = generate(application, seed, p)
+    elif application == "link_prediction":
+        dataset, x_true = load_sign_triplets(data_path), None
     else:
-        dataset, x_true = gen_correlated_design(
-            p["n"], p["d"], p["correlation"], p["sparsity"],
-            p["noise_sd"], p["outlier_frac"], seed,
+        dataset, x_true = load_regression_csv(data_path), None
+
+    if application == "link_prediction":
+        x0 = np.zeros((dataset.n_users, dataset.n_users))
+        return Problem(
+            MaskedLogisticLoss(dataset), RankConstraint(p["true_rank"]), x0,
+            extras={"truth": x_true, "observed": dataset},
         )
 
     n, d = dataset.n_samples, dataset.n_features

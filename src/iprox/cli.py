@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from .bench import APP_DEFAULTS, APPLICATIONS, ExperimentSpec, run_experiment, run_to_rows
-from .datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
+from .bench import APPLICATIONS, ExperimentSpec, generate, run_experiment, run_to_rows
 from .dataio import (
     load_regression_csv,
     load_sign_triplets,
@@ -82,16 +81,6 @@ def _collect_params(args):
     return out
 
 
-def _merged_params(application, args):
-    params = _collect_params(args)
-    unknown = set(params) - set(APP_DEFAULTS[application])
-    if unknown:
-        raise ValueError(f"parameters {sorted(unknown)} not used by {application}")
-    merged = dict(APP_DEFAULTS[application])
-    merged.update(params)
-    return merged
-
-
 def _add_solver_flags(parser):
     parser.add_argument(
         "--solver", action="append", choices=SOLVER_KINDS, default=None,
@@ -144,25 +133,11 @@ def _cmd_bench(args):
 
 
 def _cmd_gen(args):
-    params = _merged_params(args.application, args)
+    data, _ = generate(args.application, args.seed, _collect_params(args))
     if args.application == "link_prediction":
-        observed, _ = gen_signed_lowrank(
-            params["n_users"], params["true_rank"], params["obs_frac"],
-            params["margin"], args.seed,
-        )
-        path = write_sign_triplets(args.out, observed)
-    elif args.application == "robust_oscar":
-        dataset, _ = gen_grouped_regression(
-            params["n"], params["d"], params["n_groups"],
-            params["outlier_frac"], params["noise_sd"], args.seed,
-        )
-        path = write_regression_csv(args.out, dataset)
+        path = write_sign_triplets(args.out, data)
     else:
-        dataset, _ = gen_correlated_design(
-            params["n"], params["d"], params["correlation"], params["sparsity"],
-            params["noise_sd"], params["outlier_frac"], args.seed,
-        )
-        path = write_regression_csv(args.out, dataset)
+        path = write_regression_csv(args.out, data)
     print(f"wrote {path}")
     return 0
 

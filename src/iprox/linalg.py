@@ -97,31 +97,10 @@ def truncated_svd_power(a, r, power_iters, seed):
     return SvdFactors(u, s.copy(), v)
 
 
-def spectral_norm_sq(a, max_iters=50_000):
-    """Largest squared singular value by power iteration on the Gram matrix."""
+def spectral_norm_sq(a):
+    """Largest squared singular value: the top eigenvalue of the smaller Gram matrix."""
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    # Iterating on the smaller Gram matrix keeps per-step cost at O(min(n,d)^2).
     b = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    stall = 0
-    for _ in range(max_iters):
-        w = b @ v
-        lam = float(v @ w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        # Rayleigh quotients are monotone here; three consecutive stalls ends the loop.
-        if abs(lam - lam_prev) <= 1e-13 * max(abs(lam), 1e-300):
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-        lam_prev = lam
-    return float(max(lam_prev, float(v @ (b @ v))))
+    return float(np.linalg.eigvalsh(b)[-1])

@@ -26,6 +26,7 @@ import numpy as np
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
+    _sorted_weight_params,
     prox_l1,
     prox_oscar_exact,
     prox_oscar_inexact,
@@ -171,9 +172,6 @@ class IterationTrace:
     def objectives(self):
         return np.array([r.objective for r in self.records])
 
-    def displacements(self):
-        return np.array([r.step_norm_sq for r in self.records[1:]])
-
     def key(self):
         """Packed float64 bytes of (k, objective, step_norm_sq, eps_k,
         certified_eps, inner_iters) per record, and the branch labels; wall
@@ -194,10 +192,7 @@ def _make_prox(penalty, use_exact, config):
     """
 
     if isinstance(penalty, (L1Penalty, OscarPenalty)):
-        if isinstance(penalty, L1Penalty):
-            l1, l2 = penalty.lam, 0.0
-        else:
-            l1, l2 = penalty.lambda1, penalty.lambda2
+        l1, l2 = _sorted_weight_params(penalty)
 
         def exact_call(anchor, gamma):
             if l2 == 0.0:
@@ -266,38 +261,11 @@ def _check_finite(fval, k, kind, records=None):
 
 
 def run_solver(loss, penalty, x0, config, keep_iterates=False):
-    """Run the configured solver and return its IterationTrace."""
+    """Run config.solver_kind from x0 (a vector, or a matrix for a rank
+    constraint) and return its IterationTrace. The one solver entry point."""
     if config.solver_kind in ("pg", "ipg"):
         return _run_basic(loss, penalty, x0, config, keep_iterates)
     return _run_accelerated(loss, penalty, x0, config, keep_iterates)
-
-
-def run_ipg(loss, penalty, x0, config):
-    if config.solver_kind not in ("pg", "ipg"):
-        raise ValueError("config.solver_kind must be pg or ipg")
-    return _run_basic(loss, penalty, x0, config, False)
-
-
-def run_aipg(loss, penalty, x0, config, keep_iterates=False):
-    if config.solver_kind not in ("apg", "aipg"):
-        raise ValueError("config.solver_kind must be apg or aipg")
-    return _run_accelerated(loss, penalty, x0, config, keep_iterates)
-
-
-def run_nmaipg(loss, penalty, x0, config, keep_iterates=False):
-    if config.solver_kind not in ("nmapg", "nmaipg"):
-        raise ValueError("config.solver_kind must be nmapg or nmaipg")
-    return _run_accelerated(loss, penalty, x0, config, keep_iterates)
-
-
-def run_matrix_solver(loss, constraint, x0, config, keep_iterates=False):
-    """Rank-constrained runs; identical engines on matrix iterates."""
-    if not isinstance(constraint, RankConstraint):
-        raise TypeError("matrix runs expect a RankConstraint")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 2:
-        raise ValueError("matrix solver needs a 2-d starting point")
-    return run_solver(loss, constraint, x0, config, keep_iterates)
 
 
 def _init_state(loss, penalty, x0, config):

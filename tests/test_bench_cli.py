@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import iprox.bench as bench_mod
-from iprox.bench import APPLICATIONS, ExperimentSpec, build_problem, run_experiment
+from iprox.bench import APPLICATIONS, ExperimentSpec, build_problem, generate, run_experiment
 from iprox.cli import main, parse_eps_spec
 from iprox.dataio import load_trace_csv, write_regression_csv
 from iprox.datagen import gen_grouped_regression
@@ -30,6 +30,20 @@ class TestBuildProblem:
     def test_unknown_application_rejected(self):
         with pytest.raises(ValueError, match="unknown application"):
             build_problem("nonsense")
+
+    def test_misspelled_parameter_rejected(self):
+        params = {"n": 60, "d": 12, "n_group": 3}
+        with pytest.raises(ValueError, match=r"\['n_group'\] not used by robust_oscar"):
+            build_problem("robust_oscar", params=params)
+        with pytest.raises(ValueError, match="not used by robust_oscar"):
+            generate("robust_oscar", params=params)
+
+    def test_generate_merges_defaults(self):
+        dataset, x_true = generate("robust_oscar", seed=4, params={"n": 60, "d": 12})
+        expected, expected_x = gen_grouped_regression(60, 12, 5, 0.1, 0.05, seed=4)
+        np.testing.assert_array_equal(dataset.design, expected.design)
+        np.testing.assert_array_equal(dataset.targets, expected.targets)
+        np.testing.assert_array_equal(x_true, expected_x)
 
     def test_lasso_uses_square_loss(self):
         prob = build_problem("lasso_baseline", params={"n": 30, "d": 8})

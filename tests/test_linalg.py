@@ -127,6 +127,15 @@ class TestSpectralNormSq:
         top = truncated_svd_exact(a, 1).s[0]
         assert abs(spectral_norm_sq(a) - top**2) <= 1e-6 * top**2
 
+    def test_near_degenerate_top_pair_not_underestimated(self):
+        # sigma_2 = 1 - 1e-6 next to sigma_1 = 1: a power iteration stalls
+        # below sigma_1^2 here, which would make 1/L too long a step
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((40, 10)))[0]
+        v = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        s = np.concatenate(([1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 8)))
+        assert spectral_norm_sq((u * s) @ v.T) >= 1.0 - 1e-12
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_instances(self, seed):

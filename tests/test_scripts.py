@@ -1,0 +1,33 @@
+"""Smoke runs of the two README experiments in scripts/, as subprocesses."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_compare_solvers_prints_its_table(tmp_path):
+    out = tmp_path / "trace.csv"
+    lines = run_script("compare_solvers.py", "--max-iters", "5", "--out", str(out))
+    assert lines[0].split() == ["solver", "iters", "objective", "inner", "seconds"]
+    assert [line.split()[0] for line in lines[1:7]] == ["pg", "apg", "nmapg", "ipg", "aipg", "nmaipg"]
+    assert out.exists()
+
+
+def test_schedule_sweep_prints_its_table():
+    lines = run_script("schedule_sweep.py", "--max-iters", "5", "--n", "40", "--d", "10")
+    assert lines[0].startswith("exact accelerated baseline: objective")
+    assert lines[2].split() == ["schedule", "objective", "gap", "to", "exact", "inner", "max", "cert"]
+    assert len(lines) == 3 + 6

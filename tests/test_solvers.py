@@ -15,10 +15,6 @@ from iprox.solvers import (
     SolverConfig,
     extrapolate,
     momentum_next,
-    run_aipg,
-    run_ipg,
-    run_matrix_solver,
-    run_nmaipg,
     run_solver,
     schedule_eps,
 )
@@ -113,7 +109,7 @@ class TestBasicLoop:
     def test_scalar_quadratic_closed_form(self):
         # x_{k+1} = x_k - gamma (x_k - 1) with gamma = 1/2 gives x_k = 1 - 2^{-k}
         cfg = SolverConfig(max_iters=20, solver_kind="pg", gamma=0.5)
-        trace = run_ipg(scalar_quadratic(), L1Penalty(0.0), np.array([0.0]), cfg)
+        trace = run_solver(scalar_quadratic(), L1Penalty(0.0), np.array([0.0]), cfg)
         for k, rec in enumerate(trace.records):
             x_k = 1.0 - 0.5**k
             assert rec.objective == pytest.approx(0.5 * (x_k - 1.0) ** 2, abs=1e-15)
@@ -122,12 +118,12 @@ class TestBasicLoop:
     def test_scalar_lasso_fixed_point(self):
         # minimizer of (x-1)^2/2 + 0.25 |x| is x* = 0.75
         cfg = SolverConfig(max_iters=200, solver_kind="pg", gamma=0.5)
-        trace = run_ipg(scalar_quadratic(), L1Penalty(0.25), np.array([0.0]), cfg)
+        trace = run_solver(scalar_quadratic(), L1Penalty(0.25), np.array([0.0]), cfg)
         assert abs(trace.final_point[0] - 0.75) <= 1e-10
 
     def test_trace_shape_and_branches(self):
         cfg = SolverConfig(max_iters=15, solver_kind="pg", gamma=0.5)
-        trace = run_ipg(scalar_quadratic(), L1Penalty(0.25), np.array([0.0]), cfg)
+        trace = run_solver(scalar_quadratic(), L1Penalty(0.25), np.array([0.0]), cfg)
         assert [r.k for r in trace.records] == list(range(16))
         assert trace.records[0].branch == "init"
         assert all(r.branch == "prox" for r in trace.records[1:])
@@ -141,8 +137,8 @@ class TestBasicLoop:
             max_iters=40, solver_kind="ipg", gamma=gamma,
             error_schedule=ErrorSchedule.constant(0.0),
         )
-        t_exact = run_ipg(loss, penalty, x0, exact_cfg)
-        t_zero = run_ipg(loss, penalty, x0, zero_cfg)
+        t_exact = run_solver(loss, penalty, x0, exact_cfg)
+        t_zero = run_solver(loss, penalty, x0, zero_cfg)
         np.testing.assert_array_equal(t_exact.final_point, t_zero.final_point)
         assert [r.objective for r in t_exact.records] == [r.objective for r in t_zero.records]
 
@@ -154,7 +150,7 @@ class TestBasicLoop:
             max_iters=60, solver_kind="ipg", gamma=gamma,
             error_schedule=ErrorSchedule.polynomial(1e-4, 2.0),
         )
-        trace = run_ipg(loss, penalty, x0, cfg)
+        trace = run_solver(loss, penalty, x0, cfg)
         coeff = 1.0 / (2.0 * gamma) - loss.lipschitz() / 2.0
         for prev, cur in zip(trace.records, trace.records[1:]):
             bound = prev.objective - coeff * cur.step_norm_sq + cur.certified_eps
@@ -164,7 +160,7 @@ class TestBasicLoop:
         cfg = SolverConfig(
             max_iters=10_000, solver_kind="pg", gamma=0.5, objective_tolerance=1e-14,
         )
-        trace = run_ipg(scalar_quadratic(), L1Penalty(0.0), np.array([0.0]), cfg)
+        trace = run_solver(scalar_quadratic(), L1Penalty(0.0), np.array([0.0]), cfg)
         assert 6 <= len(trace.records) < 10_001
 
 
@@ -197,7 +193,7 @@ class TestAcceleratedLoop:
         loss, penalty, x0 = oscar_instance(seed=5)
         gamma = 0.4 / loss.lipschitz()
         cfg = SolverConfig(max_iters=30, solver_kind="apg", gamma=gamma)
-        trace = run_aipg(loss, penalty, x0, cfg, keep_iterates=True)
+        trace = run_solver(loss, penalty, x0, cfg, keep_iterates=True)
         expected = reference_accelerated(loss, penalty, x0, gamma, 30)
         assert len(trace.iterates) == 31
         for got, want in zip(trace.iterates, expected):
@@ -206,7 +202,7 @@ class TestAcceleratedLoop:
     def test_selection_never_worse_than_monitor(self):
         loss, penalty, x0 = oscar_instance(seed=9)
         cfg = SolverConfig(max_iters=50, solver_kind="apg", gamma=0.4 / loss.lipschitz())
-        trace = run_aipg(loss, penalty, x0, cfg)
+        trace = run_solver(loss, penalty, x0, cfg)
         for rec in trace.records[1:]:
             assert rec.branch in ("z-accepted", "v-accepted")
             assert rec.objective <= rec.monitor_objective + 1e-15
@@ -223,7 +219,7 @@ class TestAcceleratedLoop:
             max_iters=60, solver_kind="aipg", gamma=gamma,
             error_schedule=ErrorSchedule.polynomial(1e-5, 2.0),
         )
-        trace = run_aipg(loss, penalty, x0, cfg)
+        trace = run_solver(loss, penalty, x0, cfg)
         coeff = 1.0 / (2.0 * gamma) - lip / 2.0
         for prev, cur in zip(trace.records, trace.records[1:]):
             bound = prev.objective - coeff * cur.monitor_step_sq + cur.monitor_eps
@@ -233,8 +229,8 @@ class TestAcceleratedLoop:
         # an unsatisfiable shortcut condition reduces nmapg to apg exactly
         loss, penalty, x0 = oscar_instance(seed=13)
         gamma = 0.4 / loss.lipschitz()
-        t_apg = run_aipg(loss, penalty, x0, SolverConfig(max_iters=40, solver_kind="apg", gamma=gamma))
-        t_nm = run_nmaipg(
+        t_apg = run_solver(loss, penalty, x0, SolverConfig(max_iters=40, solver_kind="apg", gamma=gamma))
+        t_nm = run_solver(
             loss, penalty, x0,
             SolverConfig(max_iters=40, solver_kind="nmapg", gamma=gamma, delta=1e12),
         )
@@ -244,7 +240,7 @@ class TestAcceleratedLoop:
     def test_shortcut_condition_recheck(self):
         loss, penalty, x0 = oscar_instance(seed=2)
         cfg = SolverConfig(max_iters=80, solver_kind="nmapg", gamma=0.4 / loss.lipschitz(), delta=0.6)
-        trace = run_nmaipg(loss, penalty, x0, cfg, keep_iterates=True)
+        trace = run_solver(loss, penalty, x0, cfg, keep_iterates=True)
         branches = [r.branch for r in trace.records[1:]]
         assert "shortcut" in branches
         for rec, it in zip(trace.records[1:], trace.iterates[1:]):
@@ -262,11 +258,11 @@ class TestAcceleratedLoop:
         loss, penalty, x0 = oscar_instance(seed=2)
         gamma = 0.4 / loss.lipschitz()
         sched = ErrorSchedule.polynomial(1e-5, 2.0)
-        t_nm = run_nmaipg(
+        t_nm = run_solver(
             loss, penalty, x0,
             SolverConfig(max_iters=80, solver_kind="nmaipg", gamma=gamma, error_schedule=sched),
         )
-        t_acc = run_aipg(
+        t_acc = run_solver(
             loss, penalty, x0,
             SolverConfig(max_iters=80, solver_kind="aipg", gamma=gamma, error_schedule=sched),
         )
@@ -412,13 +408,13 @@ class TestGuards:
     def test_step_size_must_beat_lipschitz(self):
         loss = scalar_quadratic()  # L = 1
         with pytest.raises(ValueError):
-            run_ipg(loss, L1Penalty(0.1), np.array([0.0]),
-                    SolverConfig(max_iters=5, solver_kind="pg", gamma=1.0))
+            run_solver(loss, L1Penalty(0.1), np.array([0.0]),
+                       SolverConfig(max_iters=5, solver_kind="pg", gamma=1.0))
 
     def test_default_step_size(self):
         loss, penalty, x0 = oscar_instance()
         cfg = SolverConfig(max_iters=3, solver_kind="pg")
-        trace = run_ipg(loss, penalty, x0, cfg)
+        trace = run_solver(loss, penalty, x0, cfg)
         assert trace.gamma == pytest.approx(0.9 / loss.lipschitz())
 
     def test_nonfinite_objective_aborts(self):
@@ -436,20 +432,13 @@ class TestGuards:
                 return 0.0, np.ones_like(x)
 
         with pytest.raises(RuntimeError):
-            run_ipg(BrokenLoss(), L1Penalty(0.1), np.array([0.0]),
-                    SolverConfig(max_iters=10, solver_kind="pg", gamma=0.5))
+            run_solver(BrokenLoss(), L1Penalty(0.1), np.array([0.0]),
+                       SolverConfig(max_iters=10, solver_kind="pg", gamma=0.5))
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError):
-            run_ipg(scalar_quadratic(), L1Penalty(0.1), np.array([np.nan]),
-                    SolverConfig(max_iters=5, solver_kind="pg", gamma=0.5))
-
-    def test_kind_mismatch(self):
-        cfg = SolverConfig(max_iters=5, solver_kind="apg", gamma=0.5)
-        with pytest.raises(ValueError):
-            run_ipg(scalar_quadratic(), L1Penalty(0.1), np.array([0.0]), cfg)
-        with pytest.raises(ValueError):
-            run_nmaipg(scalar_quadratic(), L1Penalty(0.1), np.array([0.0]), cfg)
+            run_solver(scalar_quadratic(), L1Penalty(0.1), np.array([np.nan]),
+                       SolverConfig(max_iters=5, solver_kind="pg", gamma=0.5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -471,18 +460,10 @@ class TestDeterminism:
             max_iters=40, solver_kind="aipg", gamma=0.4 / loss.lipschitz(),
             error_schedule=ErrorSchedule.adaptive(0.05, floor=1e-10),
         )
-        t1 = run_aipg(loss, penalty, x0, cfg)
-        t2 = run_aipg(loss, penalty, x0, cfg)
+        t1 = run_solver(loss, penalty, x0, cfg)
+        t2 = run_solver(loss, penalty, x0, cfg)
         assert t1.key() == t2.key()
         np.testing.assert_array_equal(t1.final_point, t2.final_point)
-
-    def test_dispatch_matches_direct_entry_points(self):
-        loss, penalty, x0 = oscar_instance(seed=17)
-        cfg = SolverConfig(max_iters=20, solver_kind="aipg", gamma=0.4 / loss.lipschitz())
-        np.testing.assert_array_equal(
-            run_solver(loss, penalty, x0, cfg).final_point,
-            run_aipg(loss, penalty, x0, cfg).final_point,
-        )
 
 
 class TestMatrixRuns:
@@ -500,7 +481,7 @@ class TestMatrixRuns:
     def test_exact_rank_descent(self):
         loss, constraint, x0 = self.build()
         cfg = SolverConfig(max_iters=30, solver_kind="pg", rank_mode="exact")
-        trace = run_matrix_solver(loss, constraint, x0, cfg)
+        trace = run_solver(loss, constraint, x0, cfg)
         objs = trace.objectives()
         assert np.all(np.diff(objs) <= 1e-10)
         assert trace.final_point.shape == (12, 12)
@@ -509,7 +490,7 @@ class TestMatrixRuns:
     def test_power_mode_runs_and_certifies(self):
         loss, constraint, x0 = self.build(seed=4)
         cfg = SolverConfig(max_iters=10, solver_kind="ipg", rank_mode="power", rank_power_iters=50)
-        trace = run_matrix_solver(loss, constraint, x0, cfg)
+        trace = run_solver(loss, constraint, x0, cfg)
         assert all(np.isfinite(r.objective) for r in trace.records)
         assert all(r.certified_eps >= 0.0 for r in trace.records)
 
@@ -517,9 +498,9 @@ class TestMatrixRuns:
         loss, constraint, _ = self.build()
         cfg = SolverConfig(max_iters=5, solver_kind="pg", rank_mode="exact")
         with pytest.raises(ValueError):
-            run_matrix_solver(loss, constraint, np.zeros(10), cfg)
-        with pytest.raises(TypeError):
-            run_matrix_solver(loss, L1Penalty(0.1), np.zeros((3, 3)), cfg)
+            run_solver(loss, constraint, np.zeros(10), cfg)
+        with pytest.raises(ValueError):
+            run_solver(loss, L1Penalty(0.1), np.zeros((3, 3)), cfg)
 
 
 class TestRankPowerRuns:
