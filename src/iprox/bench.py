@@ -98,14 +98,22 @@ def generate(application, seed=0, params=None):
 
 
 def build_problem(application, seed=0, params=None, data_path=None):
-    """Materialize the dataset and the loss/regularizer pair for one application."""
+    """Materialize the dataset and the loss/regularizer pair for one application.
+
+    With data_path the dataset is read from the file, so generator parameters
+    would have no effect and raise ValueError; link_prediction's true_rank
+    stays allowed, as the rank bound of its constraint.
+    """
     p = _app_params(application, params)
     if data_path is None:
         dataset, x_true = generate(application, seed, p)
-    elif application == "link_prediction":
-        dataset, x_true = load_sign_triplets(data_path), None
     else:
-        dataset, x_true = load_regression_csv(data_path), None
+        allowed = {"true_rank"} if application == "link_prediction" else set()
+        ignored = sorted(set(params or {}) - allowed)
+        if ignored:
+            raise ValueError(f"parameters {ignored} have no effect on data read from {data_path}")
+        loader = load_sign_triplets if application == "link_prediction" else load_regression_csv
+        dataset, x_true = loader(data_path), None
 
     if application == "link_prediction":
         x0 = np.zeros((dataset.n_users, dataset.n_users))

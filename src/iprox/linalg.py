@@ -1,11 +1,13 @@
-"""Dense SVD helpers: exact truncation, randomized power iteration, spectral norm."""
+"""Dense array helpers: input validation, the exact rank-r truncation, spectral norm.
+
+The two spectral routines work on the smaller Gram matrix of their input:
+one m x m product and one symmetric eigensolve, m the smaller dimension,
+in place of a full SVD. The power-mode rank prox in iprox.prox iterates
+on the same Gram matrix and certifies against its eigvalsh.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-ORTHO_TOL = 1e-8
 
 
 def as_vector(x, name="x"):
@@ -26,75 +28,26 @@ def as_matrix(a, name="a"):
     return a
 
 
-@dataclass
-class SvdFactors:
-    """Rank-r factors U (rows x r), s (r,), V (cols x r) with A ~= U diag(s) V^T."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.u = as_matrix(self.u, "u")
-        self.v = as_matrix(self.v, "v")
-        self.s = as_vector(self.s, "s")
-        r = self.s.shape[0]
-        if self.u.shape[1] != r or self.v.shape[1] != r:
-            raise ValueError("factor rank mismatch")
-        if np.any(self.s < 0) or np.any(np.diff(self.s) > 0):
-            raise ValueError("singular values must be non-negative and non-increasing")
-        for q, name in ((self.u, "u"), (self.v, "v")):
-            gram = q.T @ q
-            if not np.allclose(gram, np.eye(r), atol=ORTHO_TOL):
-                raise ValueError(f"{name} columns are not orthonormal")
-
-    def reconstruct(self):
-        return (self.u * self.s) @ self.v.T
-
-
-def _canonical_signs(u, v):
-    # Largest-magnitude entry of each left vector is made non-negative so that
-    # factorizations are reproducible across backends.
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, v
+def check_rank(a, r):
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(a.shape):
+        raise ValueError(f"rank r={r} outside [1, {min(a.shape)}]")
 
 
 def truncated_svd_exact(a, r):
-    """Best rank-r factors of a dense matrix.
+    """Best rank-r approximation of a dense matrix (Eckart-Young).
 
-    Raises ValueError when r is not in [1, min(a.shape)].
+    With b = a, or a.T when a is wide, and Q the eigenvectors of the r
+    largest eigenvalues of b.T @ b from one eigh, the truncation is
+    (b Q) Q^T, transposed back for wide a. Raises ValueError when r is not
+    in [1, min(a.shape)].
     """
     a = as_matrix(a)
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(a.shape):
-        raise ValueError(f"rank r={r} outside [1, {min(a.shape)}]")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    u, v = _canonical_signs(u[:, :r].copy(), vt[:r].T.copy())
-    return SvdFactors(u, s[:r].copy(), v)
-
-
-def truncated_svd_power(a, r, power_iters, seed):
-    """Approximate rank-r factors via seeded subspace/power iteration.
-
-    Deterministic for fixed inputs and seed; the subspace is re-orthonormalized
-    by QR every sweep so the returned factors satisfy the SvdFactors invariants.
-    """
-    a = as_matrix(a)
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(a.shape):
-        raise ValueError(f"rank r={r} outside [1, {min(a.shape)}]")
-    if power_iters < 1:
-        raise ValueError("power_iters must be a positive integer")
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((a.shape[1], r)))[0]
-    for _ in range(power_iters):
-        q = np.linalg.qr(a.T @ (a @ q))[0]
-    b = a @ q
-    ub, s, wt = np.linalg.svd(b, full_matrices=False)
-    u, v = _canonical_signs(ub.copy(), (q @ wt.T).copy())
-    return SvdFactors(u, s.copy(), v)
+    check_rank(a, r)
+    wide = a.shape[0] < a.shape[1]
+    b = a.T if wide else a
+    q = np.linalg.eigh(b.T @ b)[1][:, -r:]
+    out = (b @ q) @ q.T
+    return out.T if wide else out
 
 
 def spectral_norm_sq(a):

@@ -118,7 +118,12 @@ class TraceLassoPenalty:
 
 @dataclass(frozen=True)
 class RankConstraint:
-    """Indicator of {X : rank(X) <= r}, evaluated with a singular-value cutoff."""
+    """Indicator of {X : rank(X) <= r}, evaluated with a singular-value cutoff.
+
+    value and feasible run an SVD. The solvers call them only on points
+    from outside, such as the start point: prox_rank outputs have rank
+    <= r by construction and take value 0.
+    """
 
     r: int
     is_convex = False

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, truncated_svd_exact, truncated_svd_power
+from .linalg import as_matrix, as_vector, check_rank, truncated_svd_exact
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty, magnitude_order
 
 
@@ -22,7 +22,7 @@ class ProxResult:
     inner_iters: int
     gap_history: list = field(default_factory=list)
     converged: bool = True
-    eps_is_heuristic: bool = False
+    eps_is_heuristic: bool = False  # always False: every certificate is a bound
     dual: np.ndarray | None = None  # dual iterate or subspace basis, for warm starts
 
 
@@ -239,56 +239,57 @@ def prox_oscar_inexact(
 
 
 def prox_rank(
-    y, r, mode="exact", power_iters=100, seed=0, exact_reference_max_dim=500,
-    gamma=0.5, eps_target=None, v0=None,
+    y, r, mode="exact", power_iters=100, seed=0, gamma=0.5, eps_target=None, v0=None,
 ):
     """Projection onto matrices of rank <= r, the prox of the rank indicator.
 
-    Exact mode truncates a full SVD and certifies zero error. Power mode, up
-    to exact_reference_max_dim, runs subspace iteration Q <- qr(G Q) on the
-    smaller Gram matrix G of y, from v0 (a previous result's dual, its basis
-    Q) or a seeded Gaussian block, and returns y Q Q^T (Q Q^T y for wide y)
-    with dual = Q. With top the sum of the r largest eigvalsh of G,
-    ||y - P||^2 - min = top - tr(Q^T G Q); certified_eps is that gap over
+    Exact mode is truncated_svd_exact (one eigh of the smaller Gram matrix)
+    and certifies zero error. Power mode runs subspace iteration
+    Q <- qr(G Q) on the smaller Gram matrix G of y and returns y Q Q^T
+    (Q Q^T y for wide y) with dual = Q. A warm start iterates the r columns
+    of v0 (a previous result's dual). A cold start iterates r + 5 columns
+    of a seeded Gaussian block, so that a flat spectrum around sigma_r
+    still converges (oversampling; Halko, Martinsson & Tropp), and a
+    Rayleigh-Ritz step on Q^T G Q keeps the top r Ritz vectors. With top
+    the sum of the r largest eigvalsh of G and ritz the sum of the r
+    largest Ritz values (tr(Q^T G Q) for r columns),
+    ||y - P||^2 - min = top - ritz; certified_eps is that gap over
     2 gamma, the subproblem gap. The sweeps stop at the rounding level
-    G.shape[0] * eps_mach * top, or after power_iters QR sweeps. Beyond the
-    cutoff, truncated_svd_power runs all power_iters sweeps from the seeded
-    start and certified_eps is its factors' Rayleigh residual over 2 gamma,
-    flagged heuristic. eps_target only sets converged; it stops no sweep.
+    G.shape[0] * eps_mach * top, or after power_iters QR sweeps.
+    eps_target only sets converged; it stops no sweep. Both modes return
+    points of rank <= r by construction.
     """
     y = as_matrix(y)
     if mode == "exact":
-        point = truncated_svd_exact(y, r).reconstruct()
-        return ProxResult(point, 0.0, 0, [], True)
+        return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True)
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(y.shape):
-        raise ValueError(f"rank r={r} outside [1, {min(y.shape)}]")
+    check_rank(y, r)
     if power_iters < 1 or gamma <= 0:
         raise ValueError("power_iters and gamma must be positive")
-    if max(y.shape) > exact_reference_max_dim:
-        f = truncated_svd_power(y, r, power_iters, seed)
-        # Rayleigh residuals of the factor pair; cheap but not a true bound.
-        eps = float(np.sum((y @ f.v - f.u * f.s) ** 2) + np.sum((y.T @ f.u - f.v * f.s) ** 2)) / (2.0 * gamma)
-        return ProxResult(
-            f.reconstruct(), eps, power_iters, [eps], eps_target is None or eps <= eps_target,
-            eps_is_heuristic=True,
-        )
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
     g = a.T @ a
     top = float(np.sum(np.linalg.eigvalsh(g)[-r:]))
     tol = g.shape[0] * np.finfo(np.float64).eps * top
-    start = np.random.default_rng(seed).standard_normal((g.shape[0], r)) if v0 is None else v0
-    q = np.linalg.qr(start)[0]
+    if v0 is None:
+        v0 = np.random.default_rng(seed).standard_normal((g.shape[0], min(r + 5, g.shape[0])))
+    q = np.linalg.qr(v0)[0]
     history = []
     for sweeps in range(power_iters + 1):
         gq = g @ q
-        gap = max(top - float(np.sum(q * gq)), 0.0)
+        if q.shape[1] > r:
+            values, w = np.linalg.eigh(q.T @ gq)
+            ritz = float(np.sum(values[-r:]))
+        else:
+            ritz = float(np.sum(q * gq))
+        gap = max(top - ritz, 0.0)
         history.append(gap / (2.0 * gamma))
         if gap <= tol or sweeps == power_iters:
             break
         q = np.linalg.qr(gq)[0]
+    if q.shape[1] > r:
+        q = q @ w[:, -r:]
     point = (a @ q) @ q.T
     return ProxResult(
         point.T if wide else point, history[-1], sweeps, history,

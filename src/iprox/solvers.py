@@ -125,7 +125,7 @@ class SolverConfig:
     seed: int = 0
     objective_tolerance: float | None = None  # early stopping, off by default
     inner_max_iters: int = 2000
-    rank_mode: str = "power"  # SVD mode for rank prox under inexact kinds
+    rank_mode: str = "power"  # rank prox mode under inexact kinds
     rank_power_iters: int = 100  # QR sweep budget of each power-mode rank prox call
 
     def __post_init__(self):
@@ -250,9 +250,16 @@ def _resolve_gamma(loss, config):
     return gamma
 
 
-def _objective(loss, penalty, x):
-    value, grad = loss.eval(x)
-    return value + penalty.value(x), grad
+def _objective(loss, penalty, res):
+    """Objective and loss gradient at the prox output res.point.
+
+    Both rank-prox modes return points of rank <= r by construction, so the
+    rank indicator is 0 there without the SVD that penalty.value runs.
+    """
+    value, grad = loss.eval(res.point)
+    if isinstance(penalty, RankConstraint):
+        return value, grad
+    return value + penalty.value(res.point), grad
 
 
 def _check_finite(fval, k, kind, records=None):
@@ -275,7 +282,8 @@ def _init_state(loss, penalty, x0, config):
     gamma = _resolve_gamma(loss, config)
     exact = config.solver_kind in EXACT_KINDS
     prox = _make_prox(penalty, exact, config)
-    f0, grad0 = _objective(loss, penalty, x0)
+    f0, grad0 = loss.eval(x0)
+    f0 += penalty.value(x0)  # x0 comes from outside: a rank constraint checks it
     _check_finite(f0, 0, config.solver_kind)
     return x0.copy(), gamma, exact, prox, f0, grad0
 
@@ -299,7 +307,7 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
         res = prox(x - gamma * grad, gamma, eps_k, res)
         x_next = res.point
-        f_next, grad_next = _objective(loss, penalty, x_next)
+        f_next, grad_next = _objective(loss, penalty, res)
         _check_finite(f_next, k, config.solver_kind, records)
         step_sq = _sq_norm(x_next - x)
         records.append(
@@ -338,7 +346,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         _, grad_y = loss.eval(y)
         res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
         z_next = res_z.point
-        f_z, grad_z = _objective(loss, penalty, z_next)
+        f_z, grad_z = _objective(loss, penalty, res_z)
         _check_finite(f_z, k, config.solver_kind, records)
         z_step_sq = _sq_norm(z_next - y)
 
@@ -351,7 +359,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         else:
             res_v = last_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
             v_next = res_v.point
-            f_v, grad_v = _objective(loss, penalty, v_next)
+            f_v, grad_v = _objective(loss, penalty, res_v)
             _check_finite(f_v, k, config.solver_kind, records)
             v_step_sq = _sq_norm(v_next - x_cur)
             if f_z <= f_v:

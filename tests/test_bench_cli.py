@@ -6,7 +6,7 @@ import pytest
 import iprox.bench as bench_mod
 from iprox.bench import APPLICATIONS, ExperimentSpec, build_problem, generate, run_experiment
 from iprox.cli import main, parse_eps_spec
-from iprox.dataio import load_trace_csv, write_regression_csv
+from iprox.dataio import load_trace_csv, write_regression_csv, write_sign_triplets
 from iprox.datagen import gen_grouped_regression
 from iprox.losses import CorrentropyLoss, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
@@ -67,12 +67,25 @@ class TestBuildProblem:
     def test_file_ingestion_matches_generation(self, tmp_path):
         dataset, _ = gen_grouped_regression(**SMALL, seed=4)
         path = write_regression_csv(tmp_path / "data.csv", dataset)
-        from_file = build_problem("robust_oscar", seed=4, params=SMALL, data_path=path)
+        from_file = build_problem("robust_oscar", seed=4, data_path=path)
         generated = build_problem("robust_oscar", seed=4, params=SMALL)
         np.testing.assert_array_equal(
             from_file.loss.dataset.targets, generated.loss.dataset.targets
         )
         assert from_file.x_ref is None  # no ground truth travels with a file
+
+    def test_generator_params_rejected_with_data_path(self, tmp_path):
+        dataset, _ = gen_grouped_regression(**SMALL, seed=4)
+        path = write_regression_csv(tmp_path / "data.csv", dataset)
+        with pytest.raises(ValueError, match=r"\['d', 'n'\] have no effect"):
+            build_problem("robust_oscar", params={"n": 500, "d": 80}, data_path=path)
+        signs, _ = generate("link_prediction", seed=4, params={"n_users": 14, "true_rank": 2})
+        path = write_sign_triplets(tmp_path / "signs.txt", signs)
+        with pytest.raises(ValueError, match=r"\['n_users'\] have no effect"):
+            build_problem("link_prediction", params={"n_users": 99, "true_rank": 2}, data_path=path)
+        # the rank bound is not a generator-only parameter: it sets the constraint
+        prob = build_problem("link_prediction", params={"true_rank": 2}, data_path=path)
+        assert prob.regularizer.r == 2 and prob.x0.shape == (14, 14)
 
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="margin"):
@@ -243,6 +256,16 @@ class TestCommandLine:
         code = main(["bench", "link_prediction", "--out", str(tmp_path / "t.csv"), "--n", "50"])
         assert code == 2
         assert "not used by link_prediction" in capsys.readouterr().err
+
+    def test_size_flag_with_data_exits_with_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["gen", "robust_oscar", "--out", str(data), "--n", "30", "--d", "6"])
+        out = tmp_path / "t.csv"
+        code = main(["bench", "robust_oscar", "--data", str(data), "--n", "500", "--out", str(out)])
+        assert code == 2
+        assert "['n'] have no effect" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["bench", "robust_oscar", "--data", str(data), "--max-iters", "3", "--out", str(out)]) == 0
 
     def test_loss_reg_mismatch_exits_with_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

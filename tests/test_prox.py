@@ -352,18 +352,21 @@ class TestProxRank:
         y += 1e-7 * rng.standard_normal((30, 30))
         res = prox_rank(y, 4, mode="power", power_iters=80, seed=0)
         assert 0.0 <= res.certified_eps <= 1e-8
-        assert not res.eps_is_heuristic
         assert res.gap_history
         assert res.inner_iters < 80  # well gapped: stops before the budget
 
-    def test_power_mode_heuristic_flag_at_scale(self):
-        rng = np.random.default_rng(11)
-        y = rng.standard_normal((520, 8))
-        res = prox_rank(y, 2, mode="power", power_iters=30, seed=1)
-        assert res.eps_is_heuristic
-        assert np.isfinite(res.certified_eps) and res.certified_eps >= 0.0
-        assert res.inner_iters == 30  # no reference: the whole budget runs
-        assert RankConstraint(2).feasible(res.point)
+    def test_power_mode_certified_at_scale(self):
+        # past 500 rows or columns the Gram certificate still applies
+        for shape in ((520, 8), (8, 520)):
+            y = np.random.default_rng(11).standard_normal(shape)
+            y /= np.linalg.norm(y)
+            sub = ProxSubproblem(y, 0.5, RankConstraint(2))
+            res = prox_rank(y, 2, mode="power", power_iters=100, seed=1)
+            gap = sub.objective(res.point) - sub.objective(prox_rank(y, 2).point)
+            assert gap <= res.certified_eps + 1e-12  # sound
+            assert res.certified_eps <= gap + 1e-12  # tight
+            assert res.inner_iters < 100  # stops at rounding level, before the budget
+            assert RankConstraint(2).feasible(res.point)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -386,7 +389,6 @@ class TestProxRankPower:
             assert res.certified_eps <= gap + 1e-12  # tight
             assert res.certified_eps == res.gap_history[-1]
             assert len(res.gap_history) == res.inner_iters + 1
-            assert not res.eps_is_heuristic
 
     def test_warm_start_from_previous_dual_cuts_sweeps(self):
         rng = np.random.default_rng(5)
@@ -512,4 +514,4 @@ class TestProxTraceLassoDual:
 
 def test_prox_result_defaults():
     r = ProxResult(np.zeros(2), 0.0, 0)
-    assert r.converged and not r.eps_is_heuristic and r.gap_history == []
+    assert r.converged and r.gap_history == []

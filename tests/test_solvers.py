@@ -12,6 +12,7 @@ from iprox.prox import prox_l1, prox_oscar_exact, prox_rank
 from iprox.solvers import (
     SOLVER_KINDS,
     ErrorSchedule,
+    SolverAbort,
     SolverConfig,
     extrapolate,
     momentum_next,
@@ -555,3 +556,41 @@ class TestRankPowerRuns:
         assert len(certs) >= 30
         assert all(cert <= eps for eps, cert in certs)
         assert all(r.inner_converged for r in trace.records[1:])
+
+    @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
+    def test_flat_spectrum_first_call_meets_its_request(self, kind):
+        # the gradient at 0 is a flat-spectrum sign pattern (sigma_r ~ sigma_r+1),
+        # which the oversampled cold start of the first call has to get through
+        prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+        trace = run_solver(
+            prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=20, solver_kind=kind),
+        )
+        for r in trace.records[1:]:
+            assert r.inner_converged, r.k
+            assert r.certified_eps <= r.eps_k
+            assert r.monitor_eps is None or r.monitor_eps <= r.eps_k
+
+
+class TestRankFeasibility:
+    def test_every_prox_output_has_rank_at_most_r(self):
+        # the solvers take the rank indicator of a prox output as 0 without
+        # checking it, so every iterate they accept or compare must be feasible
+        prob = build_problem("link_prediction", seed=7, params={"n_users": 200})
+        constraint = prob.regularizer
+        for kind in SOLVER_KINDS:
+            trace = run_solver(
+                prob.loss, constraint, prob.x0, SolverConfig(max_iters=10, solver_kind=kind, seed=7),
+                keep_iterates=True,
+            )
+            for k, state in enumerate(trace.iterates[1:], start=1):
+                for site in ("x", "z", "v"):
+                    if state.get(site) is not None:
+                        assert constraint.feasible(state[site]), (kind, k, site)
+
+    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one per engine
+    def test_infeasible_start_aborts_at_k0(self, kind):
+        prob = build_problem("link_prediction", seed=7, params={"n_users": 12})
+        x0 = np.eye(12)  # rank 12 > r = 3
+        with pytest.raises(SolverAbort, match="iteration 0") as info:
+            run_solver(prob.loss, prob.regularizer, x0, SolverConfig(max_iters=5, solver_kind=kind))
+        assert info.value.records == []
