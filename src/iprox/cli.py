@@ -94,7 +94,9 @@ def _add_solver_flags(parser):
     )
     parser.add_argument("--delta", type=float, default=0.6, help="shortcut descent coefficient")
     parser.add_argument("--seed", type=int, default=0, help="dataset and solver seed")
-    parser.add_argument("--inner-max-iters", type=int, default=2000, help="inner prox budget")
+    parser.add_argument(
+        "--inner-max-iters", type=int, default=2000, help="inner budget of the trace-lasso prox only",
+    )
 
 
 def _build_configs(args):

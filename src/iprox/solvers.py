@@ -29,7 +29,6 @@ from .prox import (
     _sorted_weight_params,
     prox_l1,
     prox_oscar_exact,
-    prox_oscar_inexact,
     prox_rank,
     prox_tracelasso_inexact,
 )
@@ -124,7 +123,7 @@ class SolverConfig:
     error_schedule: ErrorSchedule = field(default_factory=lambda: ErrorSchedule.polynomial(1e-2, 2.0))
     seed: int = 0
     objective_tolerance: float | None = None  # early stopping, off by default
-    inner_max_iters: int = 2000
+    inner_max_iters: int = 2000  # inner budget of the trace-lasso prox only
     rank_mode: str = "power"  # rank prox mode under inexact kinds
     rank_power_iters: int = 100  # QR sweep budget of each power-mode rank prox call
 
@@ -186,26 +185,22 @@ class IterationTrace:
 def _make_prox(penalty, use_exact, config):
     """Bind a penalty to a callable (anchor, gamma, eps_k, prev) -> ProxResult.
 
-    prev is the previous result at the same prox site, or None; inexact inner
-    solvers warm-start from its point (primal) or its dual iterate (dual; the
-    subspace basis for the power-mode rank prox).
+    L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
+    under every kind, with certified_eps 0 and no inner iterations: any
+    certificate of an inexact OSCAR point needs the dual gauge, which costs
+    the same sort, so an inexact prox could only cost more. Trace lasso and
+    the power-mode rank prox are the inexact proxes the solvers run. prev is
+    the previous result at the same prox site, or None; they warm-start from
+    its dual iterate (the subspace basis for the power-mode rank prox).
     """
 
     if isinstance(penalty, (L1Penalty, OscarPenalty)):
         l1, l2 = _sorted_weight_params(penalty)
 
-        def exact_call(anchor, gamma):
-            if l2 == 0.0:
-                return prox_l1(anchor, gamma * l1)
-            return prox_oscar_exact(anchor, gamma, l1, l2)
-
         def call(anchor, gamma, eps_k, prev):
-            if use_exact or eps_k == 0.0 or (l1 == 0.0 and l2 == 0.0):
-                return ProxResult(exact_call(anchor, gamma), 0.0, 0, [], True)
-            return prox_oscar_inexact(
-                anchor, gamma, l1, l2, eps_target=eps_k,
-                max_inner=config.inner_max_iters, x0=None if prev is None else prev.point,
-            )
+            if l2 == 0.0:
+                return ProxResult(prox_l1(anchor, gamma * l1), 0.0, 0)
+            return ProxResult(prox_oscar_exact(anchor, gamma, l1, l2), 0.0, 0)
 
         return call
 

@@ -37,6 +37,11 @@ def oscar_instance(n=40, d=12, seed=3):
     return loss, OscarPenalty(0.05, 0.02), np.zeros(d)
 
 
+def tracelasso_instance():
+    prob = build_problem("robust_tracelasso", seed=0, params={"n": 30, "d": 6, "sparsity": 2})
+    return prob.loss, prob.regularizer, prob.x0
+
+
 class TestMomentum:
     def test_base_cases(self):
         assert momentum_next(0.0) == 1.0
@@ -157,6 +162,21 @@ class TestBasicLoop:
             bound = prev.objective - coeff * cur.step_norm_sq + cur.certified_eps
             assert cur.objective <= bound + 1e-10
 
+    def test_inexact_descent_inequality_with_certified_error(self):
+        # OSCAR takes its exact prox; trace lasso exercises the + eps term
+        loss, penalty, x0 = tracelasso_instance()
+        gamma = 0.45 / loss.lipschitz()
+        cfg = SolverConfig(
+            max_iters=60, solver_kind="ipg", gamma=gamma,
+            error_schedule=ErrorSchedule.polynomial(1e-4, 2.0),
+        )
+        trace = run_solver(loss, penalty, x0, cfg)
+        assert any(r.certified_eps > 0.0 for r in trace.records)
+        coeff = 1.0 / (2.0 * gamma) - loss.lipschitz() / 2.0
+        for prev, cur in zip(trace.records, trace.records[1:]):
+            bound = prev.objective - coeff * cur.step_norm_sq + cur.certified_eps
+            assert cur.objective <= bound + 1e-10
+
     def test_early_stopping(self):
         cfg = SolverConfig(
             max_iters=10_000, solver_kind="pg", gamma=0.5, objective_tolerance=1e-14,
@@ -221,6 +241,21 @@ class TestAcceleratedLoop:
             error_schedule=ErrorSchedule.polynomial(1e-5, 2.0),
         )
         trace = run_solver(loss, penalty, x0, cfg)
+        coeff = 1.0 / (2.0 * gamma) - lip / 2.0
+        for prev, cur in zip(trace.records, trace.records[1:]):
+            bound = prev.objective - coeff * cur.monitor_step_sq + cur.monitor_eps
+            assert cur.objective <= bound + 1e-10
+
+    def test_monitor_descent_inequality_with_certified_error(self):
+        loss, penalty, x0 = tracelasso_instance()
+        lip = loss.lipschitz()
+        gamma = 0.45 / lip
+        cfg = SolverConfig(
+            max_iters=60, solver_kind="aipg", gamma=gamma,
+            error_schedule=ErrorSchedule.polynomial(1e-5, 2.0),
+        )
+        trace = run_solver(loss, penalty, x0, cfg)
+        assert any(r.monitor_eps > 0.0 for r in trace.records[1:])
         coeff = 1.0 / (2.0 * gamma) - lip / 2.0
         for prev, cur in zip(trace.records, trace.records[1:]):
             bound = prev.objective - coeff * cur.monitor_step_sq + cur.monitor_eps
@@ -300,6 +335,31 @@ class TestAcceleratedLoop:
                 assert w0 is expected
                 last[site] = res
         assert next(calls, None) is None
+
+
+class TestSortedWeightRouting:
+    """L1 and OSCAR take their exact prox under every kind, so an inexact kind
+    differs from its exact twin only in the eps_k it requests."""
+
+    @pytest.mark.parametrize("problem", ["oscar", "lasso"])
+    @pytest.mark.parametrize("kind,twin", [("ipg", "pg"), ("aipg", "apg"), ("nmaipg", "nmapg")])
+    def test_inexact_kind_runs_its_exact_twin(self, problem, kind, twin):
+        if problem == "oscar":
+            loss, penalty, x0 = oscar_instance(seed=2)
+        else:
+            prob = build_problem("lasso_baseline", seed=0, params={"n": 40, "d": 12, "sparsity": 4})
+            loss, penalty, x0 = prob.loss, prob.regularizer, prob.x0
+        schedule = ErrorSchedule.polynomial(1e-2, 2.0)
+        inexact, exact = (
+            run_solver(loss, penalty, x0, SolverConfig(max_iters=40, solver_kind=k, error_schedule=schedule))
+            for k in (kind, twin)
+        )
+        for r in inexact.records + exact.records:
+            assert r.certified_eps == 0.0 and r.inner_iters == 0
+        assert any(r.eps_k > 0.0 for r in inexact.records)
+        for field in ("objective", "step_norm_sq", "branch"):
+            assert [getattr(r, field) for r in inexact.records] == [getattr(r, field) for r in exact.records]
+        assert np.array_equal(inexact.final_point, exact.final_point)
 
 
 class CountingLoss:
