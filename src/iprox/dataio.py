@@ -148,14 +148,14 @@ def write_trace_csv(path, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.run_id, r.solver, str(r.k), _fmt(r.time_s), _fmt(r.objective),
-                    _fmt(r.step_norm_sq), _fmt(r.eps_k), _fmt(r.certified_eps),
-                    str(r.inner_iters), r.branch,
-                ]
+        writer.writerows(
+            (
+                r.run_id, r.solver, str(r.k), "%.17g" % r.time_s, "%.17g" % r.objective,
+                "%.17g" % r.step_norm_sq, "%.17g" % r.eps_k, "%.17g" % r.certified_eps,
+                str(r.inner_iters), r.branch,
             )
+            for r in rows
+        )
     return path
 
 

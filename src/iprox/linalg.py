@@ -1,5 +1,11 @@
 """Dense array helpers: input validation, the exact rank-r truncation, spectral norm.
 
+as_vector and as_matrix are the boundary checks: the public prox, loss and
+penalty calls, dataset construction and run_solver's entry run them on what
+they are given. The solver loop does not re-run them on its own iterates:
+there loss.eval's scan of each evaluated point is the guard (see
+iprox.solvers).
+
 The two spectral routines work on the smaller Gram matrix of their input:
 one m x m product and one symmetric eigensolve, m the smaller dimension,
 in place of a full SVD. The power-mode rank prox in iprox.prox iterates
@@ -14,7 +20,7 @@ def as_vector(x, name="x"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -23,7 +29,7 @@ def as_matrix(a, name="a"):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

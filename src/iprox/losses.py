@@ -103,7 +103,7 @@ class CorrentropyLoss:
         _check_dim(x, self.dataset.n_features)
         res = self.dataset.targets - self.dataset.design @ x
         e = np.exp(-((res / self.sigma) ** 2))
-        value = 0.5 * self.sigma**2 * float(np.sum(1.0 - e))
+        value = 0.5 * self.sigma**2 * float((1.0 - e).sum())
         grad = -(self.dataset.design.T @ (e * res))
         return value, grad
 
@@ -149,7 +149,7 @@ class MaskedLogisticLoss:
         if x.shape != (n, n):
             raise ValueError(f"iterate has shape {x.shape}, expected {(n, n)}")
         t = x[self.observed.rows, self.observed.cols] * self.observed.signs
-        value = 0.5 * float(np.sum(np.logaddexp(0.0, -t)))
+        value = 0.5 * float(np.logaddexp(0.0, -t).sum())
         grad = np.zeros_like(x)
         grad[self.observed.rows, self.observed.cols] = (
             -0.5 * self.observed.signs * _stable_sigmoid(-t)

@@ -2,7 +2,9 @@
 
 Every penalty exposes value(x); the convex ones also expose subgradient(x)
 and carry is_convex = True so sampling-based subgradient checks know they
-apply.
+apply. value checks its input; the L1, OSCAR and trace-lasso penalties
+also have _value, the same number without the check, which the solver
+loop calls on its prox outputs.
 """
 from __future__ import annotations
 
@@ -19,10 +21,13 @@ def magnitude_order(x):
 
     order[j] == 1 means x_j has the smallest magnitude.
     """
-    x = as_vector(x)
-    idx = np.argsort(np.abs(x), kind="stable")
-    order = np.empty(x.shape[0], dtype=np.int64)
-    order[idx] = np.arange(1, x.shape[0] + 1)
+    return _ascending_ranks(np.abs(as_vector(x)))
+
+
+def _ascending_ranks(a):
+    idx = np.argsort(a, kind="stable")
+    order = np.empty(a.shape[0], dtype=np.int64)
+    order[idx] = np.arange(1, a.shape[0] + 1)
     return order
 
 
@@ -36,7 +41,10 @@ class L1Penalty:
             raise ValueError("lam must be non-negative")
 
     def value(self, x):
-        return self.lam * float(np.sum(np.abs(as_vector(x))))
+        return self._value(as_vector(x))
+
+    def _value(self, x):
+        return self.lam * float(np.abs(x).sum())
 
     def subgradient(self, x):
         return self.lam * np.sign(as_vector(x))
@@ -59,15 +67,21 @@ class OscarPenalty:
             raise ValueError("penalty weights must be non-negative")
 
     def coordinate_weights(self, x):
-        return self.lambda1 + self.lambda2 * (magnitude_order(x) - 1)
+        return self._weights(np.abs(as_vector(x)))
+
+    def _weights(self, a):
+        return self.lambda1 + self.lambda2 * (_ascending_ranks(a) - 1)
 
     def value(self, x):
-        x = as_vector(x)
-        return float(self.coordinate_weights(x) @ np.abs(x))
+        return self._value(as_vector(x))
+
+    def _value(self, x):
+        a = np.abs(x)
+        return float(self._weights(a) @ a)
 
     def subgradient(self, x):
         x = as_vector(x)
-        return self.coordinate_weights(x) * np.sign(x)
+        return self._weights(np.abs(x)) * np.sign(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +114,10 @@ class TraceLassoPenalty:
     def value(self, x):
         x = as_vector(x)
         self._check_dim(x)
-        s = np.linalg.svd(self.factor * x, compute_uv=False)
-        return self.lam * float(np.sum(s))
+        return self._value(x)
+
+    def _value(self, x):
+        return self.lam * float(np.linalg.svd(self.factor * x, compute_uv=False).sum())
 
     def subgradient(self, x):
         """lam * diag(R^T U V^T) from the thin SVD of R @ Diag(x), keeping

@@ -48,6 +48,11 @@ def prox_l1(y, threshold):
     y = as_vector(y)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
+    return _prox_l1(y, threshold)
+
+
+def _prox_l1(y, threshold):
+    """prox_l1 without the checks, for callers that hold a valid input."""
     return np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
 
 
@@ -78,11 +83,17 @@ def prox_oscar_exact(y, gamma, lambda1, lambda2):
         raise ValueError("gamma must be positive")
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("penalty weights must be non-negative")
+    return _prox_oscar_exact(y, gamma, lambda1, lambda2)
+
+
+def _prox_oscar_exact(y, gamma, lambda1, lambda2):
+    """prox_oscar_exact without the checks, for callers that hold valid inputs."""
     n = y.shape[0]
     if n == 0:
         return y.copy()
-    order = np.argsort(-np.abs(y), kind="stable")
-    a = np.abs(y)[order]
+    mag = np.abs(y)
+    order = np.argsort(-mag, kind="stable")
+    a = mag[order]
     w = gamma * (lambda1 + lambda2 * np.arange(n - 1, -1, -1))
     x_sorted = np.maximum(_pav_nonincreasing(a - w), 0.0)
     out = np.empty(n)
@@ -280,9 +291,9 @@ def prox_rank(
         gq = g @ q
         if q.shape[1] > r:
             values, w = np.linalg.eigh(q.T @ gq)
-            ritz = float(np.sum(values[-r:]))
+            ritz = float(values[-r:].sum())
         else:
-            ritz = float(np.sum(q * gq))
+            ritz = float((q * gq).sum())
         gap = max(top - ritz, 0.0)
         history.append(gap / (2.0 * gamma))
         if gap <= tol or sweeps == power_iters:
@@ -333,7 +344,7 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     for _ in range(inner_budget):
         x = primal(w)
         m = lam_r * x
-        gap = max(float(np.sum(np.linalg.svd(m, compute_uv=False)) - np.sum(w * m)), 0.0)
+        gap = max(float(np.linalg.svd(m, compute_uv=False).sum() - (w * m).sum()), 0.0)
         if gap < best_gap:
             best_gap, best_x, best_w = gap, x, w
         history.append(best_gap)

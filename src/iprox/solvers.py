@@ -26,9 +26,9 @@ import numpy as np
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
+    _prox_l1,
+    _prox_oscar_exact,
     _sorted_weight_params,
-    prox_l1,
-    prox_oscar_exact,
     prox_rank,
     prox_tracelasso_inexact,
 )
@@ -39,7 +39,8 @@ EARLY_STOP_STREAK = 5
 
 
 class SolverAbort(RuntimeError):
-    """Raised when a run hits a non-finite objective; carries the partial trace."""
+    """Raised when a run meets a non-finite point or objective; carries the
+    records completed before it."""
 
     def __init__(self, message, records=None):
         super().__init__(message)
@@ -182,8 +183,14 @@ class IterationTrace:
         return np.array(numbers, dtype=np.float64).tobytes(), tuple(r.branch for r in self.records)
 
 
+def _zero(x):
+    return 0.0
+
+
 def _make_prox(penalty, use_exact, config):
-    """Bind a penalty to a callable (anchor, gamma, eps_k, prev) -> ProxResult.
+    """Bind a penalty to (prox, value): prox is a callable
+    (anchor, gamma, eps_k, prev) -> ProxResult, value the penalty's value at
+    a prox output.
 
     L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
     under every kind, with certified_eps 0 and no inner iterations: any
@@ -192,17 +199,26 @@ def _make_prox(penalty, use_exact, config):
     the power-mode rank prox are the inexact proxes the solvers run. prev is
     the previous result at the same prox site, or None; they warm-start from
     its dual iterate (the subspace basis for the power-mode rank prox).
+
+    The L1 and OSCAR proxes and every value are the unchecked cores: the
+    loop feeds them its own finite iterates, and a non-finite anchor passes
+    through them to loss.eval's scan. The trace-lasso and rank proxes stay
+    the public functions, whose input check is small against their inner
+    iterations. Both rank-prox modes return points of rank <= r by
+    construction, so the rank indicator's value there is 0 without the SVD
+    that RankConstraint.value runs.
     """
 
     if isinstance(penalty, (L1Penalty, OscarPenalty)):
         l1, l2 = _sorted_weight_params(penalty)
+        if l2 == 0.0:
+            def call(anchor, gamma, eps_k, prev):
+                return ProxResult(_prox_l1(anchor, gamma * l1), 0.0, 0)
+        else:
+            def call(anchor, gamma, eps_k, prev):
+                return ProxResult(_prox_oscar_exact(anchor, gamma, l1, l2), 0.0, 0)
 
-        def call(anchor, gamma, eps_k, prev):
-            if l2 == 0.0:
-                return ProxResult(prox_l1(anchor, gamma * l1), 0.0, 0)
-            return ProxResult(prox_oscar_exact(anchor, gamma, l1, l2), 0.0, 0)
-
-        return call
+        return call, penalty._value
 
     if isinstance(penalty, TraceLassoPenalty):
         if use_exact:
@@ -214,7 +230,7 @@ def _make_prox(penalty, use_exact, config):
                 eps_target=eps_k, w0=None if prev is None else prev.dual,
             )
 
-        return call
+        return call, penalty._value
 
     if isinstance(penalty, RankConstraint):
         mode = "exact" if use_exact else config.rank_mode
@@ -226,13 +242,13 @@ def _make_prox(penalty, use_exact, config):
                 v0=None if prev is None else prev.dual,
             )
 
-        return call
+        return call, _zero
 
     raise TypeError(f"no prox rule for {type(penalty).__name__}")
 
 
 def _sq_norm(a):
-    return float(np.sum(a * a))
+    return float((a * a).sum())
 
 
 def _resolve_gamma(loss, config):
@@ -245,42 +261,56 @@ def _resolve_gamma(loss, config):
     return gamma
 
 
-def _objective(loss, penalty, res):
-    """Objective and loss gradient at the prox output res.point.
+def _objective(loss, value, point, k, kind, records):
+    """Objective and loss gradient at a prox output, inside the loop.
 
-    Both rank-prox modes return points of rank <= r by construction, so the
-    rank indicator is 0 there without the SVD that penalty.value runs.
+    value is the penalty-value core that _make_prox bound. loss.eval's
+    finiteness scan of point guards the loop; a non-finite objective is
+    caught behind it.
     """
-    value, grad = loss.eval(res.point)
-    if isinstance(penalty, RankConstraint):
-        return value, grad
-    return value + penalty.value(res.point), grad
+    fval, grad = loss.eval(point)
+    fval += value(point)
+    _check_finite(fval, k, kind, records)
+    return fval, grad
 
 
 def _check_finite(fval, k, kind, records=None):
-    if not np.isfinite(fval):
+    if not math.isfinite(fval):
         raise SolverAbort(f"{kind} aborted: objective became {fval} at iteration {k}", records)
 
 
 def run_solver(loss, penalty, x0, config, keep_iterates=False):
     """Run config.solver_kind from x0 (a vector, or a matrix for a rank
-    constraint) and return its IterationTrace. The one solver entry point."""
-    if config.solver_kind in ("pg", "ipg"):
-        return _run_basic(loss, penalty, x0, config, keep_iterates)
-    return _run_accelerated(loss, penalty, x0, config, keep_iterates)
+    constraint) and return its IterationTrace. The one solver entry point.
+
+    The inputs are checked here, and a bad one raises ValueError. A
+    ValueError inside the loop, such as loss.eval meeting a non-finite
+    point, raises SolverAbort naming the iteration and carrying the records
+    completed before it.
+    """
+    engine = _run_basic if config.solver_kind in ("pg", "ipg") else _run_accelerated
+    records = []  # the engine appends each completed iteration's record
+    try:
+        return engine(loss, penalty, x0, config, keep_iterates, records)
+    except ValueError as exc:
+        if not records:  # an entry check failed before the start point's record
+            raise
+        raise SolverAbort(
+            f"{config.solver_kind} aborted at iteration {len(records)}: {exc}", records
+        ) from exc
 
 
 def _init_state(loss, penalty, x0, config):
     x0 = np.asarray(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise ValueError("starting point contains non-finite entries")
     gamma = _resolve_gamma(loss, config)
     exact = config.solver_kind in EXACT_KINDS
-    prox = _make_prox(penalty, exact, config)
+    prox, value = _make_prox(penalty, exact, config)
     f0, grad0 = loss.eval(x0)
-    f0 += penalty.value(x0)  # x0 comes from outside: a rank constraint checks it
+    f0 += penalty.value(x0)  # x0 comes from outside: the public value checks it
     _check_finite(f0, 0, config.solver_kind)
-    return x0.copy(), gamma, exact, prox, f0, grad0
+    return x0.copy(), gamma, exact, prox, value, f0, grad0
 
 
 def _early_stop(streak, f_new, f_old, tol):
@@ -290,10 +320,11 @@ def _early_stop(streak, f_new, f_old, tol):
     return streak, streak >= EARLY_STOP_STREAK
 
 
-def _run_basic(loss, penalty, x0, config, keep_iterates):
-    x, gamma, exact, prox, f_cur, grad = _init_state(loss, penalty, x0, config)
+def _run_basic(loss, penalty, x0, config, keep_iterates, records):
+    x, gamma, exact, prox, value, f_cur, grad = _init_state(loss, penalty, x0, config)
+    kind = config.solver_kind
     start = time.perf_counter()
-    records = [IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0)]
+    records.append(IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0))
     iterates = [{"x": x.copy()}] if keep_iterates else None
     res = None
     prev_step_sq = 0.0
@@ -302,8 +333,7 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
         res = prox(x - gamma * grad, gamma, eps_k, res)
         x_next = res.point
-        f_next, grad_next = _objective(loss, penalty, res)
-        _check_finite(f_next, k, config.solver_kind, records)
+        f_next, grad_next = _objective(loss, value, x_next, k, kind, records)
         step_sq = _sq_norm(x_next - x)
         records.append(
             IterationRecord(
@@ -320,17 +350,18 @@ def _run_basic(loss, penalty, x0, config, keep_iterates):
         x, f_cur, grad = x_next, f_next, grad_next
         if stop:
             break
-    return IterationTrace(config.solver_kind, gamma, config.seed, records, x, iterates)
+    return IterationTrace(kind, gamma, config.seed, records, x, iterates)
 
 
-def _run_accelerated(loss, penalty, x0, config, keep_iterates):
-    x_cur, gamma, exact, prox, f_cur, grad_cur = _init_state(loss, penalty, x0, config)
-    nonmonotone = config.solver_kind in ("nmapg", "nmaipg")
+def _run_accelerated(loss, penalty, x0, config, keep_iterates, records):
+    x_cur, gamma, exact, prox, value, f_cur, grad_cur = _init_state(loss, penalty, x0, config)
+    kind = config.solver_kind
+    nonmonotone = kind in ("nmapg", "nmaipg")
     x_prev = x_cur.copy()
     z_cur = x_cur.copy()
     t_prev, t_cur = 0.0, 1.0
     start = time.perf_counter()
-    records = [IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0)]
+    records.append(IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0))
     iterates = [{"x": x_cur.copy()}] if keep_iterates else None
     res_z = last_v = None  # latest result at each prox site, for warm starts
     prev_monitor_sq = 0.0
@@ -341,8 +372,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         _, grad_y = loss.eval(y)
         res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
         z_next = res_z.point
-        f_z, grad_z = _objective(loss, penalty, res_z)
-        _check_finite(f_z, k, config.solver_kind, records)
+        f_z, grad_z = _objective(loss, value, z_next, k, kind, records)
         z_step_sq = _sq_norm(z_next - y)
 
         res_v = None
@@ -354,8 +384,7 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         else:
             res_v = last_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
             v_next = res_v.point
-            f_v, grad_v = _objective(loss, penalty, res_v)
-            _check_finite(f_v, k, config.solver_kind, records)
+            f_v, grad_v = _objective(loss, value, v_next, k, kind, records)
             v_step_sq = _sq_norm(v_next - x_cur)
             if f_z <= f_v:
                 x_next, f_next, grad_next, branch = z_next, f_z, grad_z, "z-accepted"
@@ -399,4 +428,4 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates):
         f_cur, grad_cur = f_next, grad_next
         if stop:
             break
-    return IterationTrace(config.solver_kind, gamma, config.seed, records, x_cur, iterates)
+    return IterationTrace(kind, gamma, config.seed, records, x_cur, iterates)

@@ -147,6 +147,33 @@ class TestRunExperiment:
         assert rows[-1].branch == "failed"
         assert all(r.branch != "failed" for r in rows[:-1])
 
+    @pytest.mark.parametrize("kind, failed_at", [("pg", 3), ("aipg", 2)])  # one per engine
+    def test_nonfinite_iterate_keeps_completed_rows(self, kind, failed_at):
+        class NanGradientLoss:
+            """A square loss whose gradients turn NaN from the third evaluation on."""
+
+            def __init__(self):
+                self.loss = SquareLoss(gen_grouped_regression(20, 4, 2, seed=1)[0])
+                self.calls = 0
+
+            def lipschitz(self):
+                return self.loss.lipschitz()
+
+            def eval(self, x):
+                self.calls += 1
+                value, grad = self.loss.eval(x)
+                return value, grad * np.nan if self.calls >= 3 else grad
+
+        trace, rows, error = bench_mod.run_to_rows(
+            "nan", NanGradientLoss(), L1Penalty(0.1), np.zeros(4),
+            SolverConfig(max_iters=10, solver_kind=kind),
+        )
+        assert trace is None
+        assert f"aborted at iteration {failed_at}" in error and "non-finite" in error
+        assert [r.k for r in rows] == list(range(failed_at + 1))
+        assert [r.branch for r in rows][-1] == "failed"
+        assert all(np.isfinite(r.objective) for r in rows[:-1])
+
     def test_inexact_tracks_exact_final_objective(self, tmp_path):
         spec = small_spec(tmp_path, ["pg", "ipg"], max_iters=200)
         result = run_experiment(spec)

@@ -1,0 +1,60 @@
+"""The public prox, loss and penalty calls check their input.
+
+The solver loop runs unchecked cores of the L1/OSCAR proxes and of the
+penalty values, so these calls are where a non-finite input from outside
+is stopped.
+"""
+import numpy as np
+import pytest
+
+from iprox.losses import (
+    CorrentropyLoss,
+    MaskedLogisticLoss,
+    ObservedSignMatrix,
+    RegressionDataset,
+    SquareLoss,
+)
+from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
+from iprox.prox import prox_l1, prox_oscar_exact, prox_rank, prox_tracelasso_inexact
+
+DESIGN = np.arange(12.0).reshape(4, 3) / 10.0 + np.eye(4, 3)
+DATASET = RegressionDataset(DESIGN, np.ones(4))
+OBSERVED = ObservedSignMatrix(3, np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([1.0, -1.0, 1.0]))
+TRACE_LASSO = TraceLassoPenalty(0.1, DESIGN)
+
+VECTOR_CALLS = {
+    "prox_l1": lambda x: prox_l1(x, 0.1),
+    "prox_oscar_exact": lambda x: prox_oscar_exact(x, 0.5, 0.1, 0.1),
+    "prox_tracelasso_inexact": lambda x: prox_tracelasso_inexact(x, 0.5, TRACE_LASSO),
+    "SquareLoss.eval": SquareLoss(DATASET).eval,
+    "CorrentropyLoss.eval": CorrentropyLoss(DATASET).eval,
+    "L1Penalty.value": L1Penalty(0.1).value,
+    "OscarPenalty.value": OscarPenalty(0.1, 0.1).value,
+    "TraceLassoPenalty.value": TRACE_LASSO.value,
+}
+MATRIX_CALLS = {
+    "prox_rank exact": lambda x: prox_rank(x, 1, mode="exact"),
+    "prox_rank power": lambda x: prox_rank(x, 1, mode="power"),
+    "MaskedLogisticLoss.eval": MaskedLogisticLoss(OBSERVED).eval,
+}
+BAD = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(VECTOR_CALLS))
+def test_vector_calls_reject_non_finite_input(name, bad):
+    x = np.array([0.5, -1.0, 2.0])
+    VECTOR_CALLS[name](x)  # finite input is accepted
+    x[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        VECTOR_CALLS[name](x)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(MATRIX_CALLS))
+def test_matrix_calls_reject_non_finite_input(name, bad):
+    x = np.arange(9.0).reshape(3, 3) - 4.0
+    MATRIX_CALLS[name](x)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MATRIX_CALLS[name](x)

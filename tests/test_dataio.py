@@ -161,6 +161,20 @@ class TestTraceCsv:
         assert rows[0].branch == "init"
         assert rows[0].step_norm_sq == 0.0
 
+    def test_golden_bytes(self, tmp_path):
+        rows = [
+            TraceRow("lasso,s7", "pg", 0, 0.0, 0.1, 0.0, 0.0, 0.0, 0, "init"),
+            TraceRow("lasso,s7", "pg", 1, 1e-300, 1.0 / 3.0, 2.5, np.float64(1e-2), 5e-324, 12, "prox"),
+            TraceRow('say "hi"', "aipg", 2, -0.0, float("nan"), float("inf"), 1e300, 123456789.0, 0, "failed"),
+        ]
+        path = write_trace_csv(tmp_path / "golden.csv", rows)
+        assert path.read_bytes() == (
+            b"run_id,solver,k,time_s,objective,step_norm_sq,eps_k,certified_eps,inner_iters,branch\r\n"
+            b'"lasso,s7",pg,0,0,0.10000000000000001,0,0,0,0,init\r\n'
+            b'"lasso,s7",pg,1,1e-300,0.33333333333333331,2.5,0.01,4.9406564584124654e-324,12,prox\r\n'
+            b'"say ""hi""",aipg,2,-0,nan,inf,1.0000000000000001e+300,123456789,0,failed\r\n'
+        )
+
     def test_seventeen_digit_floats_survive(self, tmp_path):
         value = 0.1 + 0.2  # not representable as a short decimal
         row = TraceRow("r", "pg", 1, value, value, value, value, value, 3, "prox")

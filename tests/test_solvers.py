@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import iprox.penalties as penalties_mod
+import iprox.prox as prox_mod
 import iprox.solvers as solvers_mod
 from iprox.bench import build_problem
+from iprox.linalg import as_vector
 from iprox.losses import RegressionDataset, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint
 from iprox.prox import prox_l1, prox_oscar_exact, prox_rank
@@ -500,6 +503,24 @@ class TestGuards:
         with pytest.raises(ValueError):
             run_solver(scalar_quadratic(), L1Penalty(0.1), np.array([np.nan]),
                        SolverConfig(max_iters=5, solver_kind="pg", gamma=0.5))
+
+    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one per engine
+    def test_loop_runs_no_input_checks(self, kind, monkeypatch):
+        # the loop calls the unchecked prox and penalty cores; the only check
+        # that iprox.prox and iprox.penalties run is the start point's
+        # penalty.value (loss.eval's scan lives in iprox.losses)
+        calls = []
+
+        def counting(x, name="x"):
+            calls.append(name)
+            return as_vector(x, name)
+
+        monkeypatch.setattr(prox_mod, "as_vector", counting)
+        monkeypatch.setattr(penalties_mod, "as_vector", counting)
+        loss, penalty, x0 = oscar_instance()
+        trace = run_solver(loss, penalty, x0, SolverConfig(max_iters=20, solver_kind=kind))
+        assert len(trace.records) == 21
+        assert calls == ["x"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
