@@ -57,7 +57,74 @@ def _prox_l1(y, threshold):
 
 
 def _pav_nonincreasing(z):
-    """Euclidean projection of a sequence onto non-increasing sequences."""
+    """Euclidean projection of a sequence onto non-increasing sequences.
+
+    Pools adjacent violators with a stack of blocks (sum, count), merging
+    while the top block's mean is below the current one. Only an ascent
+    z[i - 1] < z[i] can start a merge: between two ascents z is
+    non-increasing, so once an element of such a stretch settles as a
+    block of one, so does every later element of the stretch (none exceeds
+    its predecessor). The stack therefore keeps runs of singletons as one
+    entry, the interpreted loop visits only the elements from each ascent
+    until one settles alone, and the output is z with the pooled blocks
+    written over it. Every pooled sum takes the same additions and
+    comparisons as the element loop, so the result is bitwise the same.
+    Where ascents are dense (more than one in eight pairs) the runs are
+    short and the element loop is cheaper, so that path runs instead.
+    """
+    n = z.shape[0]
+    ascents = z[:-1] < z[1:]
+    if 8 * np.count_nonzero(ascents) > n:
+        return _pav_elementwise(z)
+    val = z.item  # the loop reads only the elements it visits
+    bounds = [j + 1 for j in np.flatnonzero(ascents).tolist()] + [n]
+    # stack entries: (sum, count) of a pooled block, or (None, length) for a
+    # run of singletons; the entries tile z[:i] left to right
+    sums = [None]
+    counts = [bounds[0]]
+    for i, end in zip(bounds, bounds[1:]):
+        while i < end:
+            cur_sum = val(i)
+            cur_cnt = 1
+            while counts:
+                top = sums[-1]
+                cnt = counts[-1]
+                if top is None:  # the run's last singleton, z[i - cur_cnt]
+                    top = val(i - cur_cnt)
+                    if not top * cur_cnt < cur_sum:
+                        break
+                    cur_sum += top
+                    cur_cnt += 1
+                    if cnt == 1:
+                        sums.pop()
+                        counts.pop()
+                    else:
+                        counts[-1] = cnt - 1
+                elif top * cur_cnt < cur_sum * cnt:
+                    cur_sum += top
+                    cur_cnt += cnt
+                    sums.pop()
+                    counts.pop()
+                else:
+                    break
+            if cur_cnt == 1:  # settled alone, so the rest of the stretch does too
+                sums.append(None)
+                counts.append(end - i)
+                break
+            sums.append(cur_sum)
+            counts.append(cur_cnt)
+            i += 1
+    out = np.array(z, dtype=np.float64)
+    pos = 0
+    for s, c in zip(sums, counts):
+        if s is not None:
+            out[pos : pos + c] = s / c
+        pos += c
+    return out
+
+
+def _pav_elementwise(z):
+    """_pav_nonincreasing by one stack step per element, for dense ascents."""
     sums = []
     counts = []
     for cur_sum in z.tolist():

@@ -66,6 +66,9 @@ class ErrorSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial", "adaptive"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        # a nan eps_k would fail every certified_eps > eps_k test, hiding misses
+        if not all(math.isfinite(v) for v in (self.c, self.p, self.alpha, self.floor)):
+            raise ValueError("schedule constants must be finite")
         if self.c < 0 or self.floor < 0:
             raise ValueError("schedule constants must be non-negative")
         if self.kind == "polynomial" and self.p < 0:
@@ -135,8 +138,12 @@ class SolverConfig:
             raise ValueError("max_iters must be positive")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if self.objective_tolerance is not None and not self.objective_tolerance >= 0:
+            raise ValueError("objective_tolerance must be non-negative")
+        if self.inner_max_iters < 1 or self.rank_power_iters < 1:
+            raise ValueError("inner_max_iters and rank_power_iters must be positive")
         if self.rank_mode not in ("exact", "power"):
             raise ValueError("rank_mode must be 'exact' or 'power'")
 

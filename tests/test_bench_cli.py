@@ -233,6 +233,16 @@ class TestEpsSpecParsing:
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_eps_spec(bad)
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["const:nan", "const:inf", "poly:nan,2", "poly:1e-2,nan", "adaptive:nan", "adaptive:1,nan"],
+    )
+    def test_non_finite_specs_rejected(self, spec):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_eps_spec(spec)
+
 
 class TestCommandLine:
     def test_bench_writes_parseable_trace(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import iprox.prox as prox_mod
 from iprox.bench import build_problem
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import (
@@ -20,7 +21,7 @@ from iprox.prox import (
     prox_rank,
     prox_tracelasso_inexact,
 )
-from iprox.solvers import SolverConfig, run_solver
+from iprox.solvers import SOLVER_KINDS, SolverConfig, run_solver
 
 
 def oscar_q(x, y, gamma, l1, l2):
@@ -112,7 +113,9 @@ def pav_loop_reference(z):
     return out
 
 
-PAV_SHAPES = ("raw", "rounded", "constant", "increasing", "nonincreasing")
+PAV_SHAPES = (
+    "raw", "rounded", "constant", "increasing", "nonincreasing", "oscar", "oscar_rounded", "bumps",
+)
 
 
 @st.composite
@@ -133,6 +136,15 @@ def pav_inputs(draw):
         return shape, np.cumsum(np.abs(base) + 1.0)
     if shape == "nonincreasing":
         return shape, np.sort(base)[::-1]
+    if shape in ("oscar", "oscar_rounded"):  # sorted magnitudes minus OSCAR weights: few ascents
+        c = draw(st.floats(min_value=1e-3, max_value=10.0))
+        z = np.sort(np.abs(base))[::-1] - c * np.arange(base.shape[0])[::-1]
+        return shape, np.round(z) if shape == "oscar_rounded" else z
+    if shape == "bumps":
+        z = np.sort(base)[::-1]
+        at = draw(st.lists(st.integers(0, base.shape[0] - 1), max_size=4))
+        z[at] += draw(st.floats(min_value=0.0, max_value=1e3))
+        return shape, z
     return shape, base
 
 
@@ -148,6 +160,56 @@ class TestPoolAdjacentViolators:
             assert np.all(out == out[0])
         if shape in ("constant", "nonincreasing"):
             assert np.array_equal(out, z)
+
+    @pytest.mark.parametrize(
+        "z",
+        [[], [2.5], [-0.0], [3.0, 2.0, 1.0, 5.0], [1.0, 2.0], [4.0, 4.0, 1.0, 1.0, 2.0]],
+        ids=["empty", "one", "negative-zero", "last-pair-ascent", "two-ascending", "ties-then-ascent"],
+    )
+    def test_edge_cases_match_loop_reference_bitwise(self, z):
+        z = np.array(z, dtype=np.float64)
+        out = _pav_nonincreasing(z)
+        assert out.shape == z.shape and out.dtype == np.float64
+        assert out.tobytes() == pav_loop_reference(z).tobytes()
+
+    def test_last_pair_ascent_pools_back(self):
+        out = _pav_nonincreasing(np.array([3.0, 2.0, 1.0, 5.0]))
+        assert out.tobytes() == np.array([3.0, 8.0 / 3, 8.0 / 3, 8.0 / 3]).tobytes()
+
+    @pytest.mark.parametrize("ratio", [1.0, 10.0])
+    def test_solver_traces_match_loop_reference(self, ratio, monkeypatch):
+        """robust_oscar under every kind, shipped pooling against the loop form.
+
+        lambda2 = lambda1 gives few ascents per pooling input and lambda2 =
+        10 lambda1 dense ones, so between them both paths run.
+        """
+        prob = build_problem("robust_oscar", seed=7)
+        lam = prob.regularizer.lambda1
+        penalty = OscarPenalty(lam, ratio * lam)
+        elementwise = prox_mod._pav_elementwise
+        dense_calls = []
+
+        def counted_elementwise(z):
+            dense_calls.append(1)
+            return elementwise(z)
+
+        def run_all():
+            return [
+                run_solver(prob.loss, penalty, prob.x0, SolverConfig(max_iters=100, solver_kind=kind, seed=7))
+                for kind in SOLVER_KINDS
+            ]
+
+        with monkeypatch.context() as m:
+            m.setattr(prox_mod, "_pav_elementwise", counted_elementwise)
+            shipped = run_all()
+        with monkeypatch.context() as m:
+            m.setattr(prox_mod, "_pav_nonincreasing", pav_loop_reference)
+            reference = run_all()
+        # lambda2 = lambda1 pools by stretches throughout; 10 lambda1 falls back
+        assert (len(dense_calls) > 0) == (ratio == 10.0)
+        for got, want in zip(shipped, reference):
+            assert got.key() == want.key()
+            assert got.final_point.tobytes() == want.final_point.tobytes()
 
 
 class TestProxOscarExact:

@@ -113,6 +113,22 @@ class TestSchedules:
         # alpha = 0 is a legal degenerate schedule: always the floor
         assert schedule_eps(ErrorSchedule.adaptive(0.0), 3, 5.0) == 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: ErrorSchedule.constant(v),
+            lambda v: ErrorSchedule.polynomial(v, 2.0),
+            lambda v: ErrorSchedule.polynomial(1e-2, v),
+            lambda v: ErrorSchedule.adaptive(v),
+            lambda v: ErrorSchedule.adaptive(1.0, floor=v),
+        ],
+        ids=["const-c", "poly-c", "poly-p", "adaptive-alpha", "adaptive-floor"],
+    )
+    def test_non_finite_constants_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
 
 class TestBasicLoop:
     def test_scalar_quadratic_closed_form(self):
@@ -533,6 +549,29 @@ class TestGuards:
             SolverConfig(max_iters=5, solver_kind="nmapg", delta=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=5, solver_kind="ipg", rank_mode="lanczos")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta", math.nan),
+            ("delta", math.inf),
+            ("inner_max_iters", 0),
+            ("rank_power_iters", 0),
+            ("rank_power_iters", -3),
+            ("objective_tolerance", -1e-9),
+            ("objective_tolerance", math.nan),
+        ],
+    )
+    def test_config_rejects_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(max_iters=5, solver_kind="nmaipg", **{field: value})
+
+    def test_config_boundary_values_accepted(self):
+        cfg = SolverConfig(
+            max_iters=5, solver_kind="nmaipg", delta=1e12, inner_max_iters=1,
+            rank_power_iters=1, objective_tolerance=0.0,
+        )
+        assert cfg.inner_max_iters == cfg.rank_power_iters == 1
 
 
 class TestDeterminism:
