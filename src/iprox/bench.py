@@ -168,21 +168,30 @@ def run_to_rows(run_id, loss, penalty, x0, config):
     return trace, trace_rows(run_id, kind, trace), None
 
 
-def run_experiment(spec):
-    """Run every configured solver on the shared instance and write the trace CSV.
+def run_configs(run_id, loss, penalty, x0, configs):
+    """Run each config from x0 in order: (rows, traces, failures).
 
-    A solver abort is recorded as a final `failed` row for that solver and
-    reported in the result; completed rows are preserved either way.
+    rows are every run's trace rows, traces the (solver_kind, IterationTrace)
+    of the runs that completed, failures the (solver_kind, message) of those
+    that raised. A solver abort is recorded as a final `failed` row for that
+    solver; completed rows are preserved either way.
     """
-    problem = build_problem(spec.application, spec.seed, spec.params, spec.data_path)
-    run_id = f"{spec.application}-s{spec.seed}"
     rows, traces, failures = [], [], []
-    for config in spec.configs:
-        trace, run_rows, error = run_to_rows(run_id, problem.loss, problem.regularizer, problem.x0, config)
+    for config in configs:
+        trace, run_rows, error = run_to_rows(run_id, loss, penalty, x0, config)
         rows.extend(run_rows)
         if error is None:
             traces.append((config.solver_kind, trace))
         else:
             failures.append((config.solver_kind, error))
+    return rows, traces, failures
+
+
+def run_experiment(spec):
+    """Run every configured solver on the shared instance and write the trace CSV."""
+    problem = build_problem(spec.application, spec.seed, spec.params, spec.data_path)
+    rows, traces, failures = run_configs(
+        f"{spec.application}-s{spec.seed}", problem.loss, problem.regularizer, problem.x0, spec.configs,
+    )
     path = write_trace_csv(spec.out_path, rows)
     return ExperimentResult(spec, problem, traces, failures, path)

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bench import APPLICATIONS, ExperimentSpec, generate, run_experiment, run_to_rows
+from .bench import APPLICATIONS, ExperimentSpec, generate, run_configs, run_experiment
 from .dataio import (
     load_regression_csv,
     load_sign_triplets,
@@ -115,6 +115,15 @@ def _build_configs(args):
     ]
 
 
+def _print_summary(traces, failures):
+    """One line per solver run: failures on stderr, completed runs on stdout."""
+    for kind, message in failures:
+        print(f"solver {kind} failed: {message}", file=sys.stderr)
+    for kind, trace in traces:
+        last = trace.records[-1]
+        print(f"{kind}: iters={last.k} objective={last.objective:.10g}")
+
+
 def _cmd_bench(args):
     spec = ExperimentSpec(
         args.application,
@@ -125,11 +134,7 @@ def _cmd_bench(args):
         params=_collect_params(args),
     )
     result = run_experiment(spec)
-    for kind, message in result.failures:
-        print(f"solver {kind} failed: {message}", file=sys.stderr)
-    for kind, trace in result.traces:
-        final = trace.records[-1].objective
-        print(f"{kind}: iters={trace.records[-1].k} objective={final:.10g}")
+    _print_summary(result.traces, result.failures)
     print(f"wrote {result.csv_path}")
     return 0 if result.ok else 1
 
@@ -173,22 +178,11 @@ def _build_solve_problem(args):
 def _cmd_solve(args):
     loss, penalty, x0 = _build_solve_problem(args)
     run_id = f"solve-{args.loss}-{args.reg}-s{args.seed}"
-    rows = []
-    failed = False
-    for config in _build_configs(args):
-        kind = config.solver_kind
-        trace, run_rows, error = run_to_rows(run_id, loss, penalty, x0, config)
-        rows.extend(run_rows)
-        if error is not None:
-            failed = True
-            print(f"solver {kind} failed: {error}", file=sys.stderr)
-            continue
-        final = trace.records[-1].objective
-        print(f"{kind}: iters={trace.records[-1].k} objective={final:.10g}")
+    rows, traces, failures = run_configs(run_id, loss, penalty, x0, _build_configs(args))
+    _print_summary(traces, failures)
     if args.out is not None:
-        path = write_trace_csv(args.out, rows)
-        print(f"wrote {path}")
-    return 1 if failed else 0
+        print(f"wrote {write_trace_csv(args.out, rows)}")
+    return 1 if failures else 0
 
 
 def _build_parser():

@@ -37,7 +37,7 @@ class L1Penalty:
     is_convex = True
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # written so that nan fails it too
             raise ValueError("lam must be non-negative")
 
     def value(self, x):
@@ -63,11 +63,8 @@ class OscarPenalty:
     is_convex = True
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ValueError("penalty weights must be non-negative")
-
-    def coordinate_weights(self, x):
-        return self._weights(np.abs(as_vector(x)))
 
     def _weights(self, a):
         return self.lambda1 + self.lambda2 * (_ascending_ranks(a) - 1)
@@ -96,7 +93,7 @@ class TraceLassoPenalty:
 
     def __post_init__(self):
         object.__setattr__(self, "design", as_matrix(self.design, "design"))
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be non-negative")
 
     @cached_property
@@ -146,8 +143,8 @@ class RankConstraint:
     tol = 1e-8
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank bound must be a positive integer")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 1:  # the rule of check_rank
+            raise ValueError(f"rank bound must be a positive integer, got {self.r!r}")
 
     def feasible(self, x, tol=None):
         x = as_matrix(x)
@@ -170,7 +167,7 @@ def epsilon_subgradient_witness(penalty, x, d, eps, n_samples=1000, seed=0):
     """
     if not getattr(penalty, "is_convex", False):
         raise TypeError(f"{type(penalty).__name__} is not convex; check unsupported")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     x = as_vector(x)
     d = as_vector(d)

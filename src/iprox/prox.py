@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, as_vector, check_rank, truncated_svd_exact
-from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty, magnitude_order
+from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
 @dataclass
@@ -46,7 +46,7 @@ class ProxSubproblem:
 def prox_l1(y, threshold):
     """Soft thresholding; exact prox of threshold * ||.||_1."""
     y = as_vector(y)
-    if threshold < 0:
+    if not threshold >= 0:  # written so that nan fails it too
         raise ValueError("threshold must be non-negative")
     return _prox_l1(y, threshold)
 
@@ -146,9 +146,9 @@ def prox_oscar_exact(y, gamma, lambda1, lambda2):
     adjacent violators, clamp at zero, then undo the sort and signs.
     """
     y = as_vector(y)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if lambda1 < 0 or lambda2 < 0:
+    if not (lambda1 >= 0 and lambda2 >= 0):
         raise ValueError("penalty weights must be non-negative")
     return _prox_oscar_exact(y, gamma, lambda1, lambda2)
 
@@ -250,14 +250,14 @@ def prox_oscar_inexact(
     return immediately with converged=False and zero iterations.
     """
     y = as_vector(y)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if eps_target < 0:
+    if not eps_target >= 0:
         raise ValueError("eps_target must be non-negative")
     if lambda1 == 0 and lambda2 == 0:
         raise ValueError("use the exact identity prox when both weights are zero")
     step0 = gamma if step is None else float(step)
-    if step0 <= 0:
+    if not step0 > 0:
         raise ValueError("step must be positive")
 
     inv_gamma = 1.0 / gamma
@@ -343,7 +343,7 @@ def prox_rank(
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
     check_rank(y, r)
-    if power_iters < 1 or gamma <= 0:
+    if power_iters < 1 or not gamma > 0:
         raise ValueError("power_iters and gamma must be positive")
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
@@ -390,7 +390,7 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
         raise TypeError("penalty must be a TraceLassoPenalty")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if inner_budget < 1:
         raise ValueError("inner_budget must be positive")

@@ -1,16 +1,15 @@
 """Proximal gradient solvers with inexact inner solves.
 
-Six solver kinds share two engines: pg/ipg run the basic prox-gradient loop,
-apg/aipg and nmapg/nmaipg run the accelerated loop with a monitor step. The
-exact kinds are the inexact code paths with an exact prox and eps_k = 0; they
-are not separate implementations.
-
-The accelerated loop keeps two sequences: the extrapolated candidate z (built
-from the momentum point y) and the monitor v (a plain prox-gradient step from
-the current x). Accepting whichever has the smaller objective is what makes
-acceleration safe on non-convex problems. The non-monotone variant first
-tries to accept z outright whenever it improves on f(x_k) by at least
-(delta/2) * ||z - y||^2, skipping the monitor prox entirely on such steps.
+Six solver kinds run one loop. Every iteration may take the monitor step
+v = prox(x_k - gamma * grad g(x_k)), a plain prox-gradient step from the
+current point; pg/ipg take it alone. apg/aipg and nmapg/nmaipg also build the
+extrapolated candidate z from the momentum point y and accept whichever of z
+and v has the smaller objective, which is what makes acceleration safe on
+non-convex problems. The non-monotone variant first tries to accept z
+outright whenever it improves on f(x_k) by at least (delta/2) * ||z - y||^2,
+skipping the monitor prox entirely on such steps. The exact kinds are the
+inexact code paths with an exact prox and eps_k = 0; they are not separate
+implementations.
 
 The loss is evaluated once per point: the gradient returned with an accepted
 point's objective is the one the next iteration steps from.
@@ -136,7 +135,7 @@ class SolverConfig:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
@@ -295,29 +294,15 @@ def run_solver(loss, penalty, x0, config, keep_iterates=False):
     point, raises SolverAbort naming the iteration and carrying the records
     completed before it.
     """
-    engine = _run_basic if config.solver_kind in ("pg", "ipg") else _run_accelerated
-    records = []  # the engine appends each completed iteration's record
+    records = []  # the loop appends each completed iteration's record
     try:
-        return engine(loss, penalty, x0, config, keep_iterates, records)
+        return _run(loss, penalty, x0, config, keep_iterates, records)
     except ValueError as exc:
         if not records:  # an entry check failed before the start point's record
             raise
         raise SolverAbort(
             f"{config.solver_kind} aborted at iteration {len(records)}: {exc}", records
         ) from exc
-
-
-def _init_state(loss, penalty, x0, config):
-    x0 = np.asarray(x0, dtype=np.float64)
-    if not np.isfinite(x0).all():
-        raise ValueError("starting point contains non-finite entries")
-    gamma = _resolve_gamma(loss, config)
-    exact = config.solver_kind in EXACT_KINDS
-    prox, value = _make_prox(penalty, exact, config)
-    f0, grad0 = loss.eval(x0)
-    f0 += penalty.value(x0)  # x0 comes from outside: the public value checks it
-    _check_finite(f0, 0, config.solver_kind)
-    return x0.copy(), gamma, exact, prox, value, f0, grad0
 
 
 def _early_stop(streak, f_new, f_old, tol):
@@ -327,87 +312,65 @@ def _early_stop(streak, f_new, f_old, tol):
     return streak, streak >= EARLY_STOP_STREAK
 
 
-def _run_basic(loss, penalty, x0, config, keep_iterates, records):
-    x, gamma, exact, prox, value, f_cur, grad = _init_state(loss, penalty, x0, config)
+def _run(loss, penalty, x0, config, keep_iterates, records):
     kind = config.solver_kind
-    start = time.perf_counter()
-    records.append(IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0))
-    iterates = [{"x": x.copy()}] if keep_iterates else None
-    res = None
-    prev_step_sq = 0.0
-    streak = 0
-    for k in range(1, config.max_iters + 1):
-        eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
-        res = prox(x - gamma * grad, gamma, eps_k, res)
-        x_next = res.point
-        f_next, grad_next = _objective(loss, value, x_next, k, kind, records)
-        step_sq = _sq_norm(x_next - x)
-        records.append(
-            IterationRecord(
-                k, f_next, step_sq, eps_k, res.certified_eps, res.inner_iters,
-                "prox", time.perf_counter() - start, res.converged,
-                monitor_objective=f_next, monitor_step_sq=step_sq,
-                monitor_eps=res.certified_eps, monitor_inner_iters=res.inner_iters,
-            )
-        )
-        if keep_iterates:
-            iterates.append({"x": x_next.copy()})
-        prev_step_sq = step_sq
-        streak, stop = _early_stop(streak, f_next, f_cur, config.objective_tolerance)
-        x, f_cur, grad = x_next, f_next, grad_next
-        if stop:
-            break
-    return IterationTrace(kind, gamma, config.seed, records, x, iterates)
-
-
-def _run_accelerated(loss, penalty, x0, config, keep_iterates, records):
-    x_cur, gamma, exact, prox, value, f_cur, grad_cur = _init_state(loss, penalty, x0, config)
-    kind = config.solver_kind
+    x_cur = np.asarray(x0, dtype=np.float64)
+    if not np.isfinite(x_cur).all():
+        raise ValueError("starting point contains non-finite entries")
+    gamma = _resolve_gamma(loss, config)
+    exact = kind in EXACT_KINDS
+    accelerated = kind not in ("pg", "ipg")
     nonmonotone = kind in ("nmapg", "nmaipg")
-    x_prev = x_cur.copy()
-    z_cur = x_cur.copy()
+    prox, value = _make_prox(penalty, exact, config)
+    f_cur, grad_cur = loss.eval(x_cur)
+    f_cur += penalty.value(x_cur)  # x0 comes from outside: the public value checks it
+    _check_finite(f_cur, 0, kind)
+    x_cur = x_prev = z = x_cur.copy()
     t_prev, t_cur = 0.0, 1.0
     start = time.perf_counter()
     records.append(IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0))
     iterates = [{"x": x_cur.copy()}] if keep_iterates else None
     res_z = last_v = None  # latest result at each prox site, for warm starts
-    prev_monitor_sq = 0.0
+    f_z = z_step_sq = None  # the candidate's, under the accelerated kinds only
+    prev_step_sq = 0.0
     streak = 0
     for k in range(1, config.max_iters + 1):
-        eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_monitor_sq)
-        y = extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur)
-        _, grad_y = loss.eval(y)
-        res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
-        z_next = res_z.point
-        f_z, grad_z = _objective(loss, value, z_next, k, kind, records)
-        z_step_sq = _sq_norm(z_next - y)
+        eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
+        shortcut = False
+        if accelerated:
+            y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
+            t_prev, t_cur = t_cur, momentum_next(t_cur)
+            _, grad_y = loss.eval(y)
+            res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
+            z = res_z.point
+            f_z, grad_z = _objective(loss, value, z, k, kind, records)
+            z_step_sq = _sq_norm(z - y)
+            shortcut = nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq
 
-        res_v = None
-        f_v = None
-        v_step_sq = None
-        if nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq:
-            x_next, f_next, grad_next, branch = z_next, f_z, grad_z, "shortcut"
-            accepted_eps = res_z.certified_eps
-        else:
+        res_v = f_v = v_step_sq = None
+        if shortcut:
+            branch = "shortcut"
+        else:  # the monitor step, which pg/ipg take alone
             res_v = last_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
-            v_next = res_v.point
-            f_v, grad_v = _objective(loss, value, v_next, k, kind, records)
-            v_step_sq = _sq_norm(v_next - x_cur)
-            if f_z <= f_v:
-                x_next, f_next, grad_next, branch = z_next, f_z, grad_z, "z-accepted"
-                accepted_eps = res_z.certified_eps
+            f_v, grad_v = _objective(loss, value, res_v.point, k, kind, records)
+            v_step_sq = _sq_norm(res_v.point - x_cur)
+            if not accelerated:
+                branch = "prox"
             else:
-                x_next, f_next, grad_next, branch = v_next, f_v, grad_v, "v-accepted"
-                accepted_eps = res_v.certified_eps
+                branch = "z-accepted" if f_z <= f_v else "v-accepted"
 
-        t_next = momentum_next(t_cur)
-        step_sq = _sq_norm(x_next - x_cur)
+        if branch in ("prox", "v-accepted"):
+            res, f_next, grad_next, step_sq = res_v, f_v, grad_v, v_step_sq
+        else:
+            res, f_next, grad_next = res_z, f_z, grad_z
+            step_sq = _sq_norm(z - x_cur)
+        x_next = res.point
         records.append(
             IterationRecord(
-                k, f_next, step_sq, eps_k, accepted_eps,
-                res_z.inner_iters + (res_v.inner_iters if res_v else 0),
+                k, f_next, step_sq, eps_k, res.certified_eps,
+                (res_z.inner_iters if accelerated else 0) + (res_v.inner_iters if res_v else 0),
                 branch, time.perf_counter() - start,
-                res_z.converged and (res_v.converged if res_v else True),
+                (res_z.converged if accelerated else True) and (res_v.converged if res_v else True),
                 monitor_objective=f_v,
                 monitor_step_sq=v_step_sq,
                 monitor_eps=res_v.certified_eps if res_v else None,
@@ -417,21 +380,14 @@ def _run_accelerated(loss, penalty, x0, config, keep_iterates, records):
             )
         )
         if keep_iterates:
-            iterates.append(
-                {
-                    "x": x_next.copy(),
-                    "y": y.copy(),
-                    "z": z_next.copy(),
-                    "v": res_v.point.copy() if res_v else None,
-                    "f_x_prev": f_cur,
-                }
-            )
+            state = {"x": x_next.copy()}
+            if accelerated:
+                state.update(y=y.copy(), z=z.copy(), v=res_v.point.copy() if res_v else None, f_x_prev=f_cur)
+            iterates.append(state)
         # adaptive schedules key off the monitor displacement when one exists
-        prev_monitor_sq = v_step_sq if v_step_sq is not None else step_sq
+        prev_step_sq = v_step_sq if v_step_sq is not None else step_sq
         streak, stop = _early_stop(streak, f_next, f_cur, config.objective_tolerance)
         x_prev, x_cur = x_cur, x_next
-        z_cur = z_next
-        t_prev, t_cur = t_cur, t_next
         f_cur, grad_cur = f_next, grad_next
         if stop:
             break

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ class TestBuildProblem:
         prob = build_problem("link_prediction", params={"true_rank": 2}, data_path=path)
         assert prob.regularizer.r == 2 and prob.x0.shape == (14, 14)
 
+    def test_non_integral_rank_bound_rejected_before_any_run(self, tmp_path):
+        signs, _ = generate("link_prediction", seed=4, params={"n_users": 14, "true_rank": 2})
+        path = write_sign_triplets(tmp_path / "signs.txt", signs)
+        with pytest.raises(ValueError, match="rank bound must be a positive integer"):
+            build_problem("link_prediction", params={"true_rank": 2.5}, data_path=path)
+        spec = ExperimentSpec(
+            "link_prediction", [SolverConfig(max_iters=3, solver_kind="ipg")],
+            str(tmp_path / "t.csv"), data_path=str(path), params={"true_rank": 2.5},
+        )
+        with pytest.raises(ValueError, match="rank bound"):
+            run_experiment(spec)
+
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="margin"):
             ExperimentSpec(
@@ -147,7 +160,7 @@ class TestRunExperiment:
         assert rows[-1].branch == "failed"
         assert all(r.branch != "failed" for r in rows[:-1])
 
-    @pytest.mark.parametrize("kind, failed_at", [("pg", 3), ("aipg", 2)])  # one per engine
+    @pytest.mark.parametrize("kind, failed_at", [("pg", 3), ("aipg", 2)])  # one basic, one accelerated kind
     def test_nonfinite_iterate_keeps_completed_rows(self, kind, failed_at):
         class NanGradientLoss:
             """A square loss whose gradients turn NaN from the third evaluation on."""
@@ -288,6 +301,45 @@ class TestCommandLine:
         ])
         assert code == 1
         assert load_trace_csv(out)[-1].branch == "failed"
+
+    def test_bench_and_solve_write_the_same_rows(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["gen", "lasso_baseline", "--out", str(data), "--n", "40", "--d", "8", "--seed", "2"]) == 0
+        capsys.readouterr()
+        flags = ["--solver", "pg", "--solver", "aipg", "--max-iters", "12", "--seed", "2"]
+        bench_out, solve_out = tmp_path / "bench.csv", tmp_path / "solve.csv"
+        assert main(["bench", "lasso_baseline", "--data", str(data), "--out", str(bench_out), *flags]) == 0
+        bench_lines = capsys.readouterr().out.splitlines()
+        lam = repr(0.1 / math.sqrt(40))  # the lasso weight that bench sets
+        assert main([
+            "solve", "--data", str(data), "--loss", "square", "--reg", "l1", "--lam", lam,
+            "--out", str(solve_out), *flags,
+        ]) == 0
+        solve_lines = capsys.readouterr().out.splitlines()
+        assert bench_lines[:2] == solve_lines[:2]
+        assert [line.split(":")[0] for line in bench_lines[:2]] == ["pg", "aipg"]
+
+        def numbers(path):
+            return [dataclasses.replace(r, run_id="", time_s=0.0) for r in load_trace_csv(path)]
+
+        assert numbers(bench_out) == numbers(solve_out)
+
+    def test_solve_failure_keeps_the_other_runs(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["gen", "lasso_baseline", "--out", str(data), "--n", "30", "--d", "6", "--sparsity", "3"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "trace.csv"
+        code = main([
+            "solve", "--data", str(data), "--loss", "square", "--reg", "tracelasso",
+            "--solver", "pg", "--solver", "ipg", "--max-iters", "5", "--out", str(out),
+        ])
+        assert code == 1
+        printed = capsys.readouterr()
+        assert "solver pg failed: trace-lasso penalty has no exact prox" in printed.err
+        assert printed.out.startswith("ipg: iters=5 objective=")
+        rows = load_trace_csv(out)
+        assert [(r.solver, r.branch) for r in rows if r.solver == "pg"] == [("pg", "failed")]
+        assert [r.k for r in rows if r.solver == "ipg"] == list(range(6))
 
     def test_wrong_size_flag_exits_with_error(self, tmp_path, capsys):
         code = main(["bench", "link_prediction", "--out", str(tmp_path / "t.csv"), "--n", "50"])

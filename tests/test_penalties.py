@@ -222,3 +222,29 @@ def test_negative_weights_rejected():
         L1Penalty(-1.0)
     with pytest.raises(ValueError):
         RankConstraint(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: L1Penalty(np.nan),
+        lambda: OscarPenalty(np.nan, 0.0),
+        lambda: OscarPenalty(0.1, np.nan),
+        lambda: TraceLassoPenalty(np.nan, np.eye(3)),
+    ],
+    ids=["l1", "oscar-lambda1", "oscar-lambda2", "tracelasso"],
+)
+def test_nan_weights_rejected(make):
+    with pytest.raises(ValueError, match="non-negative"):
+        make()
+
+
+@pytest.mark.parametrize("r", [2.5, 2.0, np.float64(3.0), "2"])
+def test_non_integral_rank_bound_rejected(r):
+    # the rule of linalg.check_rank: r must be an int (or numpy integer) >= 1
+    with pytest.raises(ValueError, match="positive integer"):
+        RankConstraint(r)
+
+
+def test_numpy_integer_rank_bound_accepted():
+    assert RankConstraint(np.int64(2)).feasible(np.diag([3.0, 2.0, 0.0]))

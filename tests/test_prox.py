@@ -94,6 +94,30 @@ class TestProxL1:
             prox_l1(np.ones(2), -0.1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda y: prox_l1(y, math.nan),
+        lambda y: prox_oscar_exact(y, 1.0, math.nan, 0.1),
+        lambda y: prox_oscar_exact(y, 1.0, 0.1, math.nan),
+        lambda y: prox_oscar_exact(y, math.nan, 0.1, 0.1),
+        lambda y: prox_oscar_inexact(y, math.nan, 0.1, 0.1, 1e-6),
+        lambda y: prox_oscar_inexact(y, 1.0, 0.1, 0.1, math.nan),
+        lambda y: prox_oscar_inexact(y, 1.0, 0.1, 0.1, 1e-6, step=math.nan),
+        lambda y: prox_tracelasso_inexact(y, math.nan, TraceLassoPenalty(0.1, np.eye(3))),
+        lambda y: prox_rank(np.outer(y, y), 1, mode="power", gamma=math.nan),
+    ],
+    ids=[
+        "l1-threshold", "oscar-lambda1", "oscar-lambda2", "oscar-gamma", "oscar-inexact-gamma",
+        "oscar-inexact-eps", "oscar-inexact-step", "tracelasso-gamma", "rank-gamma",
+    ],
+)
+def test_nan_parameters_rejected(call):
+    # a nan weight or step fails no `x < 0` test and would return an all-nan point
+    with pytest.raises(ValueError):
+        call(np.array([0.5, -1.0, 2.0]))
+
+
 def pav_loop_reference(z):
     """Loop-form pooling, the bitwise reference: numpy scalars in, one slice per block out."""
     sums = []

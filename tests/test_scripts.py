@@ -1,4 +1,4 @@
-"""Smoke runs of the two README experiments in scripts/, as subprocesses."""
+"""Smoke runs of the scripts in scripts/, as subprocesses."""
 import os
 import subprocess
 import sys
@@ -31,3 +31,13 @@ def test_schedule_sweep_prints_its_table():
     assert lines[0].startswith("exact accelerated baseline: objective")
     assert lines[2].split() == ["schedule", "objective", "gap", "to", "exact", "inner", "max", "cert"]
     assert len(lines) == 3 + 6
+
+
+def test_trace_keys_prints_one_hash_per_pair():
+    lines = run_script("trace_keys.py", "--max-iters", "3")
+    pairs = [line.split() for line in lines]
+    assert len(pairs) == 21
+    assert all(len(p) == 3 and len(p[2]) == 64 and int(p[2], 16) >= 0 for p in pairs)
+    assert len({(app, kind) for app, kind, _ in pairs}) == 21
+    assert [kind for app, kind, _ in pairs if app == "robust_tracelasso"] == ["ipg", "aipg", "nmaipg"]
+    assert lines == run_script("trace_keys.py", "--max-iters", "3")  # deterministic

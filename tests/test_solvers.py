@@ -520,7 +520,7 @@ class TestGuards:
             run_solver(scalar_quadratic(), L1Penalty(0.1), np.array([np.nan]),
                        SolverConfig(max_iters=5, solver_kind="pg", gamma=0.5))
 
-    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one per engine
+    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one basic, one accelerated kind
     def test_loop_runs_no_input_checks(self, kind, monkeypatch):
         # the loop calls the unchecked prox and penalty cores; the only check
         # that iprox.prox and iprox.penalties run is the start point's
@@ -560,6 +560,8 @@ class TestGuards:
             ("rank_power_iters", -3),
             ("objective_tolerance", -1e-9),
             ("objective_tolerance", math.nan),
+            ("gamma", math.nan),
+            ("gamma", 0.0),
         ],
     )
     def test_config_rejects_at_construction(self, field, value):
@@ -707,7 +709,7 @@ class TestRankFeasibility:
                     if state.get(site) is not None:
                         assert constraint.feasible(state[site]), (kind, k, site)
 
-    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one per engine
+    @pytest.mark.parametrize("kind", ["pg", "aipg"])  # one basic, one accelerated kind
     def test_infeasible_start_aborts_at_k0(self, kind):
         prob = build_problem("link_prediction", seed=7, params={"n_users": 12})
         x0 = np.eye(12)  # rank 12 > r = 3
