@@ -2,9 +2,10 @@
 """Run every solver on one application and summarize the convergence traces.
 
 Writes the per-iteration trace CSV next to the chosen output path and prints
-a small table: final objective, iterations, total inner prox work, and wall
-time per solver. The default application, link prediction, runs all six
-kinds, and its inexact kinds do less prox work than their exact twins.
+a small table: final objective, iterations, total inner prox work, misses
+(records whose certified_eps exceeds their eps_k) and wall time per solver.
+The default application, link prediction, runs all six kinds, and its
+inexact kinds do less prox work than their exact twins.
 """
 import argparse
 import sys
@@ -36,11 +37,12 @@ def main():
     spec = ExperimentSpec(args.application, configs, args.out, seed=args.seed)
     result = run_experiment(spec)
 
-    print(f"{'solver':<8} {'iters':>6} {'objective':>16} {'inner':>9} {'seconds':>8}")
+    print(f"{'solver':<8} {'iters':>6} {'objective':>16} {'inner':>9} {'misses':>6} {'seconds':>8}")
     for kind, trace in result.traces:
         last = trace.records[-1]
         inner = sum(r.inner_iters for r in trace.records)
-        print(f"{kind:<8} {last.k:>6} {last.objective:>16.8f} {inner:>9} {last.wall_seconds:>8.2f}")
+        misses = sum(r.certified_eps > r.eps_k for r in trace.records)
+        print(f"{kind:<8} {last.k:>6} {last.objective:>16.8f} {inner:>9} {misses:>6} {last.wall_seconds:>8.2f}")
     for kind, message in result.failures:
         print(f"{kind:<8} failed: {message}")
     print(f"\ntrace written to {result.csv_path}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import check_rank
 from .losses import ObservedSignMatrix, RegressionDataset
 
 
@@ -59,8 +60,7 @@ def gen_signed_lowrank(n_users, true_rank, obs_frac, margin=0.5, seed=0):
     """
     if n_users < 1:
         raise ValueError("n_users must be positive")
-    if not 1 <= true_rank <= n_users:
-        raise ValueError("true_rank must lie in [1, n_users]")
+    check_rank((n_users, n_users), true_rank)
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("obs_frac must lie in (0, 1]")
     if margin <= 0:

@@ -8,8 +8,10 @@ iprox.solvers).
 
 The two spectral routines work on the smaller Gram matrix of their input:
 one m x m product and one symmetric eigensolve, m the smaller dimension,
-in place of a full SVD. The power-mode rank prox in iprox.prox iterates
-on the same Gram matrix and certifies against its eigvalsh.
+in place of a full SVD. The inexact rank prox in iprox.prox never forms
+that matrix to iterate: its residual mode certifies each sweep from
+products with the input, and only its power mode, or a residual-mode call
+that never separates the top r Ritz values, takes one eigvalsh of it.
 """
 from __future__ import annotations
 
@@ -34,9 +36,10 @@ def as_matrix(a, name="a"):
     return a
 
 
-def check_rank(a, r):
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(a.shape):
-        raise ValueError(f"rank r={r} outside [1, {min(a.shape)}]")
+def check_rank(shape, r):
+    """Raise ValueError unless r is an integer in [1, min(shape)]."""
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(shape):
+        raise ValueError(f"rank r={r} outside [1, {min(shape)}]")
 
 
 def truncated_svd_exact(a, r):
@@ -48,7 +51,7 @@ def truncated_svd_exact(a, r):
     in [1, min(a.shape)].
     """
     a = as_matrix(a)
-    check_rank(a, r)
+    check_rank(a.shape, r)
     wide = a.shape[0] < a.shape[1]
     b = a.T if wide else a
     q = np.linalg.eigh(b.T @ b)[1][:, -r:]

@@ -316,59 +316,113 @@ def prox_oscar_inexact(
     return ProxResult(best_x, certified, t, history, converged=certified <= eps_target)
 
 
+def _top_eigensum(a, r):
+    """Sum of the r largest eigenvalues of the Gram matrix a^T a, from one eigvalsh."""
+    return float(np.sum(np.linalg.eigvalsh(a.T @ a)[-r:]))
+
+
 def prox_rank(
     y, r, mode="exact", power_iters=100, seed=0, gamma=0.5, eps_target=None, v0=None,
 ):
     """Projection onto matrices of rank <= r, the prox of the rank indicator.
 
     Exact mode is truncated_svd_exact (one eigh of the smaller Gram matrix)
-    and certifies zero error. Power mode runs subspace iteration
-    Q <- qr(G Q) on the smaller Gram matrix G of y and returns y Q Q^T
-    (Q Q^T y for wide y) with dual = Q. A warm start iterates the r columns
-    of v0 (a previous result's dual). A cold start iterates r + 5 columns
-    of a seeded Gaussian block, so that a flat spectrum around sigma_r
-    still converges (oversampling; Halko, Martinsson & Tropp), and a
-    Rayleigh-Ritz step on Q^T G Q keeps the top r Ritz vectors. With top
-    the sum of the r largest eigvalsh of G and ritz the sum of the r
-    largest Ritz values (tr(Q^T G Q) for r columns),
-    ||y - P||^2 - min = top - ritz; certified_eps is that gap over
-    2 gamma, the subproblem gap. The sweeps stop at the rounding level
-    G.shape[0] * eps_mach * top, or after power_iters QR sweeps.
-    eps_target only sets converged; it stops no sweep. Both modes return
-    points of rank <= r by construction.
+    and certifies zero error. Power and residual modes run one subspace
+    iteration Q <- qr(a^T (a Q)), with a = y (y^T for wide y) of shape
+    n x m, n >= m, without forming the Gram matrix G = a^T a, and return
+    (a Q_r) Q_r^T (transposed back for wide y) with dual = Q_r. A warm
+    start iterates the r columns of v0 (a previous result's dual). A cold
+    start iterates r + 5 columns of a seeded Gaussian block, so that a flat
+    spectrum around sigma_r still converges (oversampling; Halko,
+    Martinsson & Tropp). Each sweep takes a Rayleigh-Ritz step on
+    (a Q)^T (a Q) and keeps the top r Ritz vectors Q_r, with
+    A = Q_r^T G Q_r; with top the sum of the r largest eigenvalues of G,
+    ||y - P||^2 - min = top - tr(A), and certified_eps bounds that gap
+    over 2 gamma, the subproblem gap. The modes differ only in the
+    certificate:
+
+    - power: top from one eigvalsh of G per call, so the certificate is the
+      gap itself. The sweeps stop at the rounding level m * eps_mach * top.
+    - residual: the quadratic residual bound for Hermitian eigenvalues
+      (Mathias 1998; C.-K. Li & R.-C. Li 2005), at O(n m r) per sweep.
+      delta = (n + m + 2 k) sqrt(k) eps_mach ||a||_F^2, k the width of Q,
+      is the rounding scale of the computed residual, traces and Ritz
+      values. With e = ||G Q_r - Q_r A||_F + delta (at least ||E||_2 for
+      the off-diagonal block E of G in the basis [Q_r, Q_r-perp]),
+      beta = ||a||_F^2 - tr(A) + (r + 1) delta (at least the trace of the
+      complement block, so at least its top eigenvalue) and
+      eta = lambda_min(A) - beta, the r largest eigenvalues of G each lie
+      within 2 e^2 / (eta + sqrt(eta^2 + 4 e^2)) of A's once eta > 0, so
+      r times that, the quadratic part, bounds top - tr(A).
+      rho = 2 r eps_mach sqrt(r ||a||_F^2 beta) bounds what rounding adds
+      to the returned point's gap: the final product's error outside the
+      span of Q_r, at most r eps_mach sqrt(r ||a||_F^2) in norm, meets
+      the residual a - a Q_r Q_r^T, at most sqrt(beta) in norm. The
+      certificate is (quadratic part + rho) / 2 gamma, and the sweeps stop
+      once the quadratic part is at most rho or the computed residual norm
+      is at most delta. A sweep with eta <= 0 has no bound (gap_history
+      holds inf); if the Ritz sum has also grown by at most delta, or the
+      budget is spent, the call certifies (top - tr(A) + delta + rho) /
+      2 gamma with top from one eigvalsh of G, and sweeps no more.
+
+    Both stop after power_iters QR sweeps at the latest. eps_target only
+    sets converged; it stops no sweep. Every mode returns points of
+    rank <= r by construction.
     """
     y = as_matrix(y)
     if mode == "exact":
         return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True)
-    if mode != "power":
+    if mode not in ("power", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_rank(y, r)
+    check_rank(y.shape, r)
     if power_iters < 1 or not gamma > 0:
         raise ValueError("power_iters and gamma must be positive")
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
-    g = a.T @ a
-    top = float(np.sum(np.linalg.eigvalsh(g)[-r:]))
-    tol = g.shape[0] * np.finfo(np.float64).eps * top
+    m = a.shape[1]
+    eps = float(np.finfo(np.float64).eps)
     if v0 is None:
-        v0 = np.random.default_rng(seed).standard_normal((g.shape[0], min(r + 5, g.shape[0])))
+        v0 = np.random.default_rng(seed).standard_normal((m, min(r + 5, m)))
     q = np.linalg.qr(v0)[0]
+    if mode == "power":
+        top = _top_eigensum(a, r)
+        tol = m * eps * top
+    else:
+        total = float(np.sum(a * a))
+        delta = (a.shape[0] + m + 2 * q.shape[1]) * math.sqrt(q.shape[1]) * eps * total
+        ritz_prev = -math.inf
     history = []
     for sweeps in range(power_iters + 1):
-        gq = g @ q
-        if q.shape[1] > r:
-            values, w = np.linalg.eigh(q.T @ gq)
-            ritz = float(values[-r:].sum())
+        aq = a @ q
+        gq = a.T @ aq
+        values, w = np.linalg.eigh(aq.T @ aq)
+        lam, w = values[-r:], w[:, -r:]
+        ritz = float(lam.sum())
+        last = sweeps == power_iters
+        if mode == "power":
+            gap = max(top - ritz, 0.0)
+            done = gap <= tol
         else:
-            ritz = float((q * gq).sum())
-        gap = max(top - ritz, 0.0)
+            resid = gq @ w - (q @ w) * lam
+            e_c = math.sqrt(float(np.sum(resid * resid)))
+            e = e_c + delta
+            beta = max(total - ritz, 0.0) + (r + 1) * delta
+            eta = float(lam[0]) - beta
+            rho = 2.0 * r * eps * math.sqrt(r * total * beta)
+            if eta > 0:
+                quad = r * 2.0 * e * e / (eta + math.sqrt(eta * eta + 4.0 * e * e))
+                gap, done = quad + rho, quad <= rho or e_c <= delta
+            elif last or ritz - ritz_prev <= delta:
+                gap, done = max(_top_eigensum(a, r) - ritz, 0.0) + delta + rho, True
+            else:
+                gap, done = math.inf, False
+            ritz_prev = ritz
         history.append(gap / (2.0 * gamma))
-        if gap <= tol or sweeps == power_iters:
+        if done or last:
             break
         q = np.linalg.qr(gq)[0]
-    if q.shape[1] > r:
-        q = q @ w[:, -r:]
-    point = (a @ q) @ q.T
+    q = q @ w
+    point = (aq @ w) @ q.T
     return ProxResult(
         point.T if wide else point, history[-1], sweeps, history,
         eps_target is None or history[-1] <= eps_target, dual=q,

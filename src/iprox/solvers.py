@@ -127,8 +127,8 @@ class SolverConfig:
     seed: int = 0
     objective_tolerance: float | None = None  # early stopping, off by default
     inner_max_iters: int = 2000  # inner budget of the trace-lasso prox only
-    rank_mode: str = "power"  # rank prox mode under inexact kinds
-    rank_power_iters: int = 100  # QR sweep budget of each power-mode rank prox call
+    rank_mode: str = "residual"  # rank prox mode under inexact kinds: exact, power or residual
+    rank_power_iters: int = 100  # QR sweep budget of each power- or residual-mode rank prox call
 
     def __post_init__(self):
         if self.solver_kind not in SOLVER_KINDS:
@@ -143,8 +143,8 @@ class SolverConfig:
             raise ValueError("objective_tolerance must be non-negative")
         if self.inner_max_iters < 1 or self.rank_power_iters < 1:
             raise ValueError("inner_max_iters and rank_power_iters must be positive")
-        if self.rank_mode not in ("exact", "power"):
-            raise ValueError("rank_mode must be 'exact' or 'power'")
+        if self.rank_mode not in ("exact", "power", "residual"):
+            raise ValueError("rank_mode must be 'exact', 'power' or 'residual'")
 
 
 @dataclass(slots=True)
@@ -202,15 +202,17 @@ def _make_prox(penalty, use_exact, config):
     under every kind, with certified_eps 0 and no inner iterations: any
     certificate of an inexact OSCAR point needs the dual gauge, which costs
     the same sort, so an inexact prox could only cost more. Trace lasso and
-    the power-mode rank prox are the inexact proxes the solvers run. prev is
-    the previous result at the same prox site, or None; they warm-start from
-    its dual iterate (the subspace basis for the power-mode rank prox).
+    the rank prox in config.rank_mode ("residual" by default) are the
+    inexact proxes the solvers run; the exact kinds take the exact rank prox
+    whatever rank_mode says. prev is the previous result at the same
+    prox site, or None; they warm-start from its dual iterate (the subspace
+    basis for the rank prox).
 
     The L1 and OSCAR proxes and every value are the unchecked cores: the
     loop feeds them its own finite iterates, and a non-finite anchor passes
     through them to loss.eval's scan. The trace-lasso and rank proxes stay
     the public functions, whose input check is small against their inner
-    iterations. Both rank-prox modes return points of rank <= r by
+    iterations. Every rank-prox mode returns points of rank <= r by
     construction, so the rank indicator's value there is 0 without the SVD
     that RankConstraint.value runs.
     """

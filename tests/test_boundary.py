@@ -35,6 +35,7 @@ VECTOR_CALLS = {
 MATRIX_CALLS = {
     "prox_rank exact": lambda x: prox_rank(x, 1, mode="exact"),
     "prox_rank power": lambda x: prox_rank(x, 1, mode="power"),
+    "prox_rank residual": lambda x: prox_rank(x, 1, mode="residual"),
     "MaskedLogisticLoss.eval": MaskedLogisticLoss(OBSERVED).eval,
 }
 BAD = (np.nan, np.inf, -np.inf)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iprox.bench import generate
 from iprox.datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 
 
@@ -93,6 +94,20 @@ class TestSignedLowrank:
             gen_signed_lowrank(10, 2, 1.5)
         with pytest.raises(ValueError):
             gen_signed_lowrank(10, 2, 0.5, margin=0.0)
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, np.float64(3.0), "2"])
+    def test_non_integral_rank_rejected(self, rank):
+        # the rule of linalg.check_rank; numpy used to raise TypeError past the range check
+        with pytest.raises(ValueError, match="rank"):
+            gen_signed_lowrank(10, rank, 0.5)
+        with pytest.raises(ValueError, match="rank"):
+            generate("link_prediction", params={"true_rank": rank})
+
+    def test_numpy_integer_rank_accepted(self):
+        a, za = gen_signed_lowrank(12, np.int64(2), 0.5, seed=3)
+        b, zb = gen_signed_lowrank(12, 2, 0.5, seed=3)
+        np.testing.assert_array_equal(za, zb)
+        np.testing.assert_array_equal(a.signs, b.signs)
 
 
 class TestCorrelatedDesign:

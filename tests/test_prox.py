@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,10 +107,12 @@ class TestProxL1:
         lambda y: prox_oscar_inexact(y, 1.0, 0.1, 0.1, 1e-6, step=math.nan),
         lambda y: prox_tracelasso_inexact(y, math.nan, TraceLassoPenalty(0.1, np.eye(3))),
         lambda y: prox_rank(np.outer(y, y), 1, mode="power", gamma=math.nan),
+        lambda y: prox_rank(np.outer(y, y), 1, mode="residual", gamma=math.nan),
     ],
     ids=[
         "l1-threshold", "oscar-lambda1", "oscar-lambda2", "oscar-gamma", "oscar-inexact-gamma",
         "oscar-inexact-eps", "oscar-inexact-step", "tracelasso-gamma", "rank-gamma",
+        "rank-residual-gamma",
     ],
 )
 def test_nan_parameters_rejected(call):
@@ -496,6 +499,136 @@ class TestProxRankPower:
         for target, met in ((1e-3, False), (loose.certified_eps, True)):
             res = prox_rank(y, 2, mode="power", power_iters=1, seed=0, eps_target=target)
             assert res.converged is met
+
+
+def rank_gap(y, r, gamma, point):
+    """Subproblem gap of point against the exact projection (one eigh)."""
+    sub = ProxSubproblem(y, gamma, RankConstraint(r))
+    return sub.objective(point) - sub.objective(prox_rank(y, r).point)
+
+
+def exact_rank_gap(y, point, gamma, v):
+    """Subproblem gap of point in rational arithmetic, for rank bound 1 or 2.
+
+    min Q is taken from Ky Fan's sum over the columns of v (the float64
+    top eigenvectors of y^T y), tr((v^T v)^-1 (y v)^T (y v)), which lies
+    below the true sum by a term second order in v's rounding.
+    """
+    rows = [[Fraction(x) for x in row] for row in y.tolist()]
+    pts = [[Fraction(x) for x in row] for row in point.tolist()]
+    cols = [[Fraction(x) for x in col] for col in v.T.tolist()]
+    dist = sum(p * p - 2 * x * p for row, prow in zip(rows, pts) for x, p in zip(row, prow))
+    yv = [[sum(x * c for x, c in zip(row, col)) for col in cols] for row in rows]
+    m = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    n = [[sum(row[i] * row[j] for row in yv) for j in range(len(cols))] for i in range(len(cols))]
+    if len(cols) == 1:
+        top = n[0][0] / m[0][0]
+    else:
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        top = (m[1][1] * n[0][0] - m[0][1] * n[1][0] - m[1][0] * n[0][1] + m[0][0] * n[1][1]) / det
+    return (dist + top) / (2 * Fraction(gamma))
+
+
+class TestProxRankResidual:
+    @pytest.mark.parametrize("shape", [(520, 8), (8, 520)])
+    def test_sound_on_tall_and_wide_inputs(self, shape):
+        y = np.random.default_rng(11).standard_normal(shape)
+        y /= np.linalg.norm(y)
+        res = prox_rank(y, 2, mode="residual", power_iters=100, seed=1)
+        assert rank_gap(y, 2, 0.5, res.point) <= res.certified_eps + 1e-12
+        assert res.certified_eps <= 1e-12  # rounding level
+        assert res.inner_iters < 100
+        assert len(res.gap_history) == res.inner_iters + 1
+        assert RankConstraint(2).feasible(res.point)
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+    @pytest.mark.parametrize("gamma", [0.1, 7.2])
+    def test_sound_on_flat_spectra(self, shape, gamma):
+        rng = np.random.default_rng(sum(shape))
+        y = rng.standard_normal(shape)  # flat spectrum: few sweeps leave a visible gap
+        y /= np.linalg.norm(y)
+        for iters in (1, 3, 10, 100):
+            res = prox_rank(y, 3, mode="residual", power_iters=iters, seed=2, gamma=gamma)
+            assert rank_gap(y, 3, gamma, res.point) <= res.certified_eps + 1e-12
+            assert res.certified_eps == res.gap_history[-1]
+            assert len(res.gap_history) == res.inner_iters + 1
+
+    @pytest.mark.parametrize("shape", [(60, 50), (50, 60)])
+    def test_separated_sweeps_certify_without_the_gram_matrix(self, shape, monkeypatch):
+        # a low-rank input plus noise separates the top r Ritz values from the
+        # rest after one sweep from the random start, and from then on every
+        # sweep's certificate is the residual bound
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((shape[0], 4)) @ rng.standard_normal((4, shape[1]))
+        y += 0.3 * rng.standard_normal(shape)
+
+        def no_gram(*args):
+            raise AssertionError("fell back to the Gram eigvalsh")
+
+        monkeypatch.setattr(prox_mod, "_top_eigensum", no_gram)
+        for iters in (1, 2, 3, 100):
+            res = prox_rank(y, 4, mode="residual", power_iters=iters, seed=0, gamma=0.7)
+            assert all(math.isfinite(h) for h in res.gap_history[1:])
+            assert rank_gap(y, 4, 0.7, res.point) <= res.certified_eps + 1e-12
+        assert res.inner_iters < 100
+        assert res.certified_eps <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(12, 9), (9, 12)])
+    @pytest.mark.parametrize("tail", [0.0, 1.0, 3.0, 5.0])
+    def test_sound_in_exact_arithmetic(self, shape, tail):
+        # singular values 10 and 8 over a flat tail: tails 0, 1 and 3 separate
+        # the top two, 5 falls back. Once converged the certificate is down to
+        # its rounding terms, below what a float64 objective difference
+        # resolves, so it is compared to the gap computed exactly, with no
+        # tolerance
+        rng = np.random.default_rng(4)
+        k = min(shape)
+        u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        w = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        y = (u * np.r_[10.0, 8.0, tail * np.linspace(1.0, 0.6, k - 2)]) @ w.T
+        v = np.linalg.eigh(y.T @ y)[1][:, -2:]
+        for iters in (1, 2, 100):
+            res = prox_rank(y, 2, mode="residual", power_iters=iters, seed=0, gamma=0.3)
+            assert exact_rank_gap(y, res.point, 0.3, v) <= Fraction(res.certified_eps)
+
+    def test_fallback_certifies_the_first_link_prediction_call(self):
+        # the gradient at 0 is a flat-spectrum sign pattern: no sweep separates
+        # the top r Ritz values, so the call stops once the Ritz sum stalls and
+        # takes the Gram eigvalsh gap on its last basis, plus a rounding pad
+        prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+        gamma = 0.9 / prob.loss.lipschitz()  # the solvers' step, at ipg's first call
+        anchor = prob.x0 - gamma * prob.loss.eval(prob.x0)[1]
+        r = prob.regularizer.r
+        res = prox_rank(anchor, r, mode="residual", seed=0, gamma=gamma)
+        assert math.isinf(res.gap_history[0]) and math.isinf(res.gap_history[-2])
+        assert res.inner_iters < 100  # the stall, not the budget, ends it
+        assert len(res.gap_history) == res.inner_iters + 1
+        gap = rank_gap(anchor, r, gamma, res.point)
+        assert gap <= res.certified_eps + 1e-12  # sound
+        assert res.certified_eps <= gap + 1e-11  # the pad is about 3e-12 here
+
+    def test_warm_start_from_previous_dual_cuts_sweeps(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((60, 4)) @ rng.standard_normal((4, 50))
+        y += 0.3 * rng.standard_normal((60, 50))
+        first = prox_rank(y, 4, mode="residual", seed=0)
+        nearby = y + 1e-3 * rng.standard_normal(y.shape)
+        cold = prox_rank(nearby, 4, mode="residual", seed=0)
+        warm = prox_rank(nearby, 4, mode="residual", seed=0, v0=first.dual)
+        assert first.dual.shape == (50, 4)
+        assert cold.inner_iters < 100 and warm.inner_iters < cold.inner_iters
+        assert rank_gap(nearby, 4, 0.5, warm.point) <= warm.certified_eps + 1e-12
+        exact = prox_rank(nearby, 4).point
+        assert np.linalg.norm(warm.point - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_converged_reports_whether_the_target_was_met(self):
+        y = np.random.default_rng(7).standard_normal((20, 20))
+        loose = prox_rank(y, 2, mode="residual", power_iters=1, seed=0)
+        assert loose.converged and loose.certified_eps > 1e-3
+        for target, met in ((1e-3, False), (loose.certified_eps, True)):
+            res = prox_rank(y, 2, mode="residual", power_iters=1, seed=0, eps_target=target)
+            assert res.converged is met
+            assert res.certified_eps == loose.certified_eps  # the target stops no sweep
 
 
 class TestProxTraceLasso:

@@ -21,8 +21,10 @@ def run_script(name, *args):
 def test_compare_solvers_prints_its_table(tmp_path):
     out = tmp_path / "trace.csv"
     lines = run_script("compare_solvers.py", "--max-iters", "5", "--out", str(out))
-    assert lines[0].split() == ["solver", "iters", "objective", "inner", "seconds"]
-    assert [line.split()[0] for line in lines[1:7]] == ["pg", "apg", "nmapg", "ipg", "aipg", "nmaipg"]
+    assert lines[0].split() == ["solver", "iters", "objective", "inner", "misses", "seconds"]
+    rows = [line.split() for line in lines[1:7]]
+    assert [row[0] for row in rows] == ["pg", "apg", "nmapg", "ipg", "aipg", "nmaipg"]
+    assert [int(row[4]) for row in rows] == [0] * 6  # early requests sit far above the rounding floor
     assert out.exists()
 
 

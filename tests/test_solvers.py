@@ -693,6 +693,40 @@ class TestRankPowerRuns:
             assert r.monitor_eps is None or r.monitor_eps <= r.eps_k
 
 
+class TestRankModes:
+    @pytest.fixture(scope="class")
+    def prob(self):
+        return build_problem("link_prediction", seed=7, params={"n_users": 60})
+
+    def test_residual_is_the_default(self):
+        assert SolverConfig(max_iters=1, solver_kind="ipg").rank_mode == "residual"
+
+    @pytest.mark.parametrize("kind", ["pg", "apg", "nmapg"])
+    def test_exact_kinds_are_bit_identical_under_either_mode(self, prob, kind):
+        traces = [
+            run_solver(
+                prob.loss, prob.regularizer, prob.x0,
+                SolverConfig(max_iters=30, solver_kind=kind, seed=7, rank_mode=mode),
+            )
+            for mode in ("power", "residual")
+        ]
+        assert traces[0].key() == traces[1].key()
+        assert np.array_equal(traces[0].final_point, traces[1].final_point)
+
+    @pytest.mark.parametrize("kind,twin", [("ipg", "pg"), ("aipg", "apg"), ("nmaipg", "nmapg")])
+    def test_default_mode_tracks_exact_twin_and_meets_every_request(self, prob, kind, twin):
+        finals = {}
+        for k in (twin, kind):
+            trace = run_solver(
+                prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=60, solver_kind=k, seed=7),
+            )
+            finals[k] = trace.records[-1].objective
+        assert abs(finals[kind] - finals[twin]) <= 1e-5 * abs(finals[twin])
+        for r in trace.records[1:]:
+            assert r.certified_eps <= r.eps_k, r.k
+            assert r.monitor_eps is None or r.monitor_eps <= r.eps_k, r.k
+
+
 class TestRankFeasibility:
     def test_every_prox_output_has_rank_at_most_r(self):
         # the solvers take the rank indicator of a prox output as 0 without
