@@ -10,7 +10,7 @@ inexact kinds do less prox work than their exact twins.
 import argparse
 import sys
 
-from iprox.bench import APPLICATIONS, ExperimentSpec, run_experiment
+from iprox.bench import APPLICATIONS, run_experiment
 from iprox.cli import parse_eps_spec
 from iprox.solvers import SOLVER_KINDS, EXACT_KINDS, SolverConfig
 
@@ -34,19 +34,19 @@ def main():
                      error_schedule=args.eps, seed=args.seed)
         for kind in kinds
     ]
-    spec = ExperimentSpec(args.application, configs, args.out, seed=args.seed)
-    result = run_experiment(spec)
+    runs, csv_path = run_experiment(args.application, configs, args.out, seed=args.seed)
 
     print(f"{'solver':<8} {'iters':>6} {'objective':>16} {'inner':>9} {'misses':>6} {'seconds':>8}")
-    for kind, trace in result.traces:
-        last = trace.records[-1]
-        inner = sum(r.inner_iters for r in trace.records)
-        misses = sum(r.certified_eps > r.eps_k for r in trace.records)
-        print(f"{kind:<8} {last.k:>6} {last.objective:>16.8f} {inner:>9} {misses:>6} {last.wall_seconds:>8.2f}")
-    for kind, message in result.failures:
-        print(f"{kind:<8} failed: {message}")
-    print(f"\ntrace written to {result.csv_path}")
-    return 0 if result.ok else 1
+    for kind, rows, error in runs:
+        if error is not None:
+            print(f"{kind:<8} failed: {error}")
+            continue
+        last = rows[-1]
+        inner = sum(r.inner_iters for r in rows)
+        misses = sum(r.certified_eps > r.eps_k for r in rows)
+        print(f"{kind:<8} {last.k:>6} {last.objective:>16.8f} {inner:>9} {misses:>6} {last.time_s:>8.2f}")
+    print(f"\ntrace written to {csv_path}")
+    return 0 if all(error is None for _, _, error in runs) else 1
 
 
 if __name__ == "__main__":

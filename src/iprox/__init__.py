@@ -6,7 +6,7 @@ operators return certified error bounds, solvers accept inexactness
 schedules, and the bench layer reproduces the shipped applications end to
 end.
 """
-from .bench import APPLICATIONS, ExperimentResult, ExperimentSpec, build_problem, run_experiment
+from .bench import APPLICATIONS, build_problem, run_experiment
 from .datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 from .dataio import (
     TRACE_HEADER,
@@ -62,8 +62,6 @@ __all__ = [
     "CorrentropyLoss",
     "EXACT_KINDS",
     "ErrorSchedule",
-    "ExperimentResult",
-    "ExperimentSpec",
     "IterationRecord",
     "IterationTrace",
     "L1Penalty",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .datagen import gen_correlated_design, gen_grouped_regression, gen_signed_l
 from .dataio import TraceRow, load_regression_csv, load_sign_triplets, trace_rows, write_trace_csv
 from .losses import CorrentropyLoss, MaskedLogisticLoss, SquareLoss
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
-from .solvers import IterationTrace, SolverAbort, run_solver
+from .solvers import SolverAbort, run_solver
 
 APPLICATIONS = ("robust_oscar", "link_prediction", "robust_tracelasso", "lasso_baseline")
 
@@ -34,21 +33,6 @@ APP_DEFAULTS = {
     },
     "link_prediction": {"n_users": 60, "true_rank": 3, "obs_frac": 0.3, "margin": 0.5},
 }
-
-
-@dataclass
-class ExperimentSpec:
-    application: str
-    configs: list
-    out_path: str
-    seed: int = 0
-    data_path: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _app_params(self.application, self.params)
-        if not self.configs:
-            raise ValueError("at least one solver config is required")
 
 
 @dataclass
@@ -137,61 +121,37 @@ def build_problem(application, seed=0, params=None, data_path=None):
     return Problem(loss, TraceLassoPenalty(0.1, scaled.design), x0, x_ref=x_ref)
 
 
-@dataclass
-class ExperimentResult:
-    spec: ExperimentSpec
-    problem: Problem
-    traces: list  # (solver_kind, IterationTrace) in spec order, successful runs
-    failures: list  # (solver_kind, message)
-    csv_path: Path
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def run_to_rows(run_id, loss, penalty, x0, config):
-    """Run one solver and flatten it into trace rows.
-
-    Returns (trace, rows, None) on success and (None, rows, message) when the
-    run raises: rows then keep the records completed before a SolverAbort and
-    end with a `failed` row.
-    """
-    kind = config.solver_kind
-    try:
-        trace = run_solver(loss, penalty, x0, config)
-    except (RuntimeError, ValueError, TypeError) as exc:  # SolverAbort is a RuntimeError
-        records = exc.records if isinstance(exc, SolverAbort) else []
-        rows = trace_rows(run_id, kind, IterationTrace(kind, float("nan"), config.seed, records, x0))
-        rows.append(TraceRow(run_id, kind, len(records), 0.0, float("nan"), 0.0, 0.0, 0.0, 0, "failed"))
-        return None, rows, str(exc)
-    return trace, trace_rows(run_id, kind, trace), None
-
-
 def run_configs(run_id, loss, penalty, x0, configs):
-    """Run each config from x0 in order: (rows, traces, failures).
+    """Run each config from x0: one (solver_kind, rows, error) per config, in order.
 
-    rows are every run's trace rows, traces the (solver_kind, IterationTrace)
-    of the runs that completed, failures the (solver_kind, message) of those
-    that raised. A solver abort is recorded as a final `failed` row for that
-    solver; completed rows are preserved either way.
+    rows are the run's trace rows and error is None when it completed, so
+    its rows end in its last record's row. A run that raises keeps the rows
+    of the records completed before a SolverAbort, ends in a `failed` row,
+    and error is the message.
     """
-    rows, traces, failures = [], [], []
+    runs = []
     for config in configs:
-        trace, run_rows, error = run_to_rows(run_id, loss, penalty, x0, config)
-        rows.extend(run_rows)
-        if error is None:
-            traces.append((config.solver_kind, trace))
+        kind = config.solver_kind
+        try:
+            trace = run_solver(loss, penalty, x0, config)
+        except (RuntimeError, ValueError, TypeError) as exc:  # SolverAbort is a RuntimeError
+            # a SolverAbort carries its completed records as a trace does
+            rows = trace_rows(run_id, kind, exc) if isinstance(exc, SolverAbort) else []
+            rows.append(TraceRow(run_id, kind, len(rows), 0.0, math.nan, 0.0, 0.0, 0.0, 0, "failed"))
+            runs.append((kind, rows, str(exc)))
         else:
-            failures.append((config.solver_kind, error))
-    return rows, traces, failures
+            runs.append((kind, trace_rows(run_id, kind, trace), None))
+    return runs
 
 
-def run_experiment(spec):
-    """Run every configured solver on the shared instance and write the trace CSV."""
-    problem = build_problem(spec.application, spec.seed, spec.params, spec.data_path)
-    rows, traces, failures = run_configs(
-        f"{spec.application}-s{spec.seed}", problem.loss, problem.regularizer, problem.x0, spec.configs,
-    )
-    path = write_trace_csv(spec.out_path, rows)
-    return ExperimentResult(spec, problem, traces, failures, path)
+def run_experiment(application, configs, out_path, seed=0, data_path=None, params=None):
+    """Run every config on the application's shared instance and write the trace CSV.
+
+    Returns (runs, csv_path), runs as run_configs returns them. The
+    parameters are checked before any solver runs or the file is written.
+    """
+    if not configs:
+        raise ValueError("at least one solver config is required")
+    problem = build_problem(application, seed, params, data_path)
+    runs = run_configs(f"{application}-s{seed}", problem.loss, problem.regularizer, problem.x0, configs)
+    return runs, write_trace_csv(out_path, [row for _, rows, _ in runs for row in rows])

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bench import APPLICATIONS, ExperimentSpec, generate, run_configs, run_experiment
+from .bench import APPLICATIONS, build_problem, generate, run_configs
 from .dataio import (
     load_regression_csv,
     load_sign_triplets,
@@ -115,28 +115,25 @@ def _build_configs(args):
     ]
 
 
-def _print_summary(traces, failures):
-    """One line per solver run: failures on stderr, completed runs on stdout."""
-    for kind, message in failures:
-        print(f"solver {kind} failed: {message}", file=sys.stderr)
-    for kind, trace in traces:
-        last = trace.records[-1]
-        print(f"{kind}: iters={last.k} objective={last.objective:.10g}")
+def _run_and_report(args, run_id, loss, penalty, x0):
+    """Run the configured solvers, print one line per run from its trace rows
+    (failures on stderr), write the trace CSV when --out is given, and
+    return the exit status."""
+    runs = run_configs(run_id, loss, penalty, x0, _build_configs(args))
+    for kind, rows, error in runs:
+        if error is None:
+            print(f"{kind}: iters={rows[-1].k} objective={rows[-1].objective:.10g}")
+        else:
+            print(f"solver {kind} failed: {error}", file=sys.stderr)
+    if args.out is not None:
+        print(f"wrote {write_trace_csv(args.out, [row for _, rows, _ in runs for row in rows])}")
+    return 0 if all(error is None for _, _, error in runs) else 1
 
 
 def _cmd_bench(args):
-    spec = ExperimentSpec(
-        args.application,
-        _build_configs(args),
-        args.out,
-        seed=args.seed,
-        data_path=args.data,
-        params=_collect_params(args),
-    )
-    result = run_experiment(spec)
-    _print_summary(result.traces, result.failures)
-    print(f"wrote {result.csv_path}")
-    return 0 if result.ok else 1
+    problem = build_problem(args.application, args.seed, _collect_params(args), args.data)
+    run_id = f"{args.application}-s{args.seed}"
+    return _run_and_report(args, run_id, problem.loss, problem.regularizer, problem.x0)
 
 
 def _cmd_gen(args):
@@ -176,13 +173,8 @@ def _build_solve_problem(args):
 
 
 def _cmd_solve(args):
-    loss, penalty, x0 = _build_solve_problem(args)
     run_id = f"solve-{args.loss}-{args.reg}-s{args.seed}"
-    rows, traces, failures = run_configs(run_id, loss, penalty, x0, _build_configs(args))
-    _print_summary(traces, failures)
-    if args.out is not None:
-        print(f"wrote {write_trace_csv(args.out, rows)}")
-    return 1 if failures else 0
+    return _run_and_report(args, run_id, *_build_solve_problem(args))
 
 
 def _build_parser():

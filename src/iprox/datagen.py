@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_rank
+from .linalg import check_rank, is_int
 from .losses import ObservedSignMatrix, RegressionDataset
 
 
@@ -32,10 +32,10 @@ def gen_grouped_regression(n, d, n_groups, outlier_frac=0.0, noise_sd=0.0, seed=
     a shared nonzero coefficient, the rest are zero. A fraction of targets is
     corrupted upward to motivate bounded losses.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    if not 1 <= n_groups <= d:
-        raise ValueError("n_groups must lie in [1, d]")
+    if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
+        raise ValueError("n and d must be positive integers")
+    if not is_int(n_groups) or not 1 <= n_groups <= d:
+        raise ValueError("n_groups must be an integer in [1, d]")
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
     rng = np.random.default_rng(seed)
@@ -58,8 +58,8 @@ def gen_signed_lowrank(n_users, true_rank, obs_frac, margin=0.5, seed=0):
     The factor product is scaled up if needed so every sampled entry has
     magnitude at least margin, keeping the observed signs unambiguous.
     """
-    if n_users < 1:
-        raise ValueError("n_users must be positive")
+    if not is_int(n_users) or n_users < 1:
+        raise ValueError("n_users must be a positive integer")
     check_rank((n_users, n_users), true_rank)
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("obs_frac must lie in (0, 1]")
@@ -89,12 +89,12 @@ def gen_correlated_design(n, d, correlation, sparsity, noise_sd=0.0, outlier_fra
     column is scaled to unit norm so the correlation structure, not column
     scale, drives the conditioning.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
+        raise ValueError("n and d must be positive integers")
     if not 0.0 <= correlation < 1.0:
         raise ValueError("correlation must lie in [0, 1)")
-    if not 0 <= sparsity <= d:
-        raise ValueError("sparsity must lie in [0, d]")
+    if not is_int(sparsity) or not 0 <= sparsity <= d:
+        raise ValueError("sparsity must be an integer in [0, d]")
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
     rng = np.random.default_rng(seed)

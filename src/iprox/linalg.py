@@ -36,9 +36,14 @@ def as_matrix(a, name="a"):
     return a
 
 
+def is_int(value):
+    """The integer rule of every count and rank: a Python or numpy integer."""
+    return isinstance(value, (int, np.integer))
+
+
 def check_rank(shape, r):
     """Raise ValueError unless r is an integer in [1, min(shape)]."""
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(shape):
+    if not is_int(r) or not 1 <= r <= min(shape):
         raise ValueError(f"rank r={r} outside [1, {min(shape)}]")
 
 

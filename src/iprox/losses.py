@@ -2,6 +2,7 @@
 global Lipschitz bound on the gradient via lipschitz()."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -91,8 +92,8 @@ class CorrentropyLoss:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:  # inf makes every value inf * 0 = nan
+            raise ValueError("sigma must be positive and finite")
 
     @cached_property
     def _lipschitz(self):

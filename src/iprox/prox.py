@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_rank, truncated_svd_exact
+from .linalg import as_matrix, as_vector, check_rank, is_int, truncated_svd_exact
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
@@ -375,8 +375,10 @@ def prox_rank(
     if mode not in ("power", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     check_rank(y.shape, r)
-    if power_iters < 1 or not gamma > 0:
-        raise ValueError("power_iters and gamma must be positive")
+    if not is_int(power_iters) or power_iters < 1:
+        raise ValueError("power_iters must be a positive integer")
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
     m = a.shape[1]
@@ -446,8 +448,8 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
         raise TypeError("penalty must be a TraceLassoPenalty")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if inner_budget < 1:
-        raise ValueError("inner_budget must be positive")
+    if not is_int(inner_budget) or inner_budget < 1:
+        raise ValueError("inner_budget must be a positive integer")
     penalty._check_dim(y)
     lam_r = penalty.lam * penalty.factor
     lip = gamma * float(np.max(np.sum(lam_r * lam_r, axis=0), initial=0.0))

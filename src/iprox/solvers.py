@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import is_int
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
@@ -128,21 +129,20 @@ class SolverConfig:
     objective_tolerance: float | None = None  # early stopping, off by default
     inner_max_iters: int = 2000  # inner budget of the trace-lasso prox only
     rank_mode: str = "residual"  # rank prox mode under inexact kinds: exact, power or residual
-    rank_power_iters: int = 100  # QR sweep budget of each power- or residual-mode rank prox call
 
     def __post_init__(self):
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.objective_tolerance is not None and not self.objective_tolerance >= 0:
             raise ValueError("objective_tolerance must be non-negative")
-        if self.inner_max_iters < 1 or self.rank_power_iters < 1:
-            raise ValueError("inner_max_iters and rank_power_iters must be positive")
+        if not is_int(self.inner_max_iters) or self.inner_max_iters < 1:
+            raise ValueError("inner_max_iters must be a positive integer")
         if self.rank_mode not in ("exact", "power", "residual"):
             raise ValueError("rank_mode must be 'exact', 'power' or 'residual'")
 
@@ -245,8 +245,7 @@ def _make_prox(penalty, use_exact, config):
 
         def call(anchor, gamma, eps_k, prev):
             return prox_rank(
-                anchor, penalty.r, mode=mode, power_iters=config.rank_power_iters,
-                seed=config.seed, gamma=gamma, eps_target=eps_k,
+                anchor, penalty.r, mode=mode, seed=config.seed, gamma=gamma, eps_target=eps_k,
                 v0=None if prev is None else prev.dual,
             )
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import iprox.bench as bench_mod
-from iprox.bench import APPLICATIONS, ExperimentSpec, build_problem, generate, run_experiment
+from iprox.bench import APPLICATIONS, build_problem, generate, run_experiment
 from iprox.cli import main, parse_eps_spec
 from iprox.dataio import load_trace_csv, write_regression_csv, write_sign_triplets
 from iprox.datagen import gen_grouped_regression
@@ -16,7 +16,8 @@ from iprox.solvers import ErrorSchedule, SolverAbort, SolverConfig, run_solver
 SMALL = {"n": 60, "d": 12, "n_groups": 3, "outlier_frac": 0.1, "noise_sd": 0.05}
 
 
-def small_spec(tmp_path, kinds, application="robust_oscar", seed=7, max_iters=25, **overrides):
+def small_run(tmp_path, kinds, application="robust_oscar", seed=7, max_iters=25, out="trace.csv", **overrides):
+    """run_experiment on a small instance: (runs, csv_path)."""
     params = dict(SMALL)
     params.update(overrides)
     if application != "robust_oscar":
@@ -24,7 +25,11 @@ def small_spec(tmp_path, kinds, application="robust_oscar", seed=7, max_iters=25
         params.setdefault("correlation", 0.5)
         params.setdefault("sparsity", 3)
     configs = [SolverConfig(max_iters=max_iters, solver_kind=k) for k in kinds]
-    return ExperimentSpec(application, configs, str(tmp_path / "trace.csv"), seed=seed, params=params)
+    return run_experiment(application, configs, str(tmp_path / out), seed=seed, params=params)
+
+
+def failed_kinds(runs):
+    return [kind for kind, _, error in runs if error is not None]
 
 
 class TestBuildProblem:
@@ -93,54 +98,58 @@ class TestBuildProblem:
         path = write_sign_triplets(tmp_path / "signs.txt", signs)
         with pytest.raises(ValueError, match="rank bound must be a positive integer"):
             build_problem("link_prediction", params={"true_rank": 2.5}, data_path=path)
-        spec = ExperimentSpec(
-            "link_prediction", [SolverConfig(max_iters=3, solver_kind="ipg")],
-            str(tmp_path / "t.csv"), data_path=str(path), params={"true_rank": 2.5},
-        )
+        out = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="rank bound"):
-            run_experiment(spec)
+            run_experiment(
+                "link_prediction", [SolverConfig(max_iters=3, solver_kind="ipg")], str(out),
+                data_path=str(path), params={"true_rank": 2.5},
+            )
+        assert not out.exists()
 
     def test_unknown_param_rejected(self, tmp_path):
+        out = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="margin"):
-            ExperimentSpec(
+            run_experiment(
                 "robust_oscar",
                 [SolverConfig(max_iters=5, solver_kind="ipg")],
-                str(tmp_path / "t.csv"),
+                str(out),
                 params={"margin": 0.5},
             )
+        assert not out.exists()
 
 
 class TestRunExperiment:
+    def test_empty_config_list_rejected(self, tmp_path):
+        out = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="at least one solver config"):
+            run_experiment("robust_oscar", [], str(out), params=SMALL)
+        assert not out.exists()
+
     def test_solvers_share_initialization(self, tmp_path):
-        result = run_experiment(small_spec(tmp_path, ["pg", "ipg"]))
-        assert result.ok
-        rows = load_trace_csv(result.csv_path)
+        runs, csv_path = small_run(tmp_path, ["pg", "ipg"])
+        assert failed_kinds(runs) == []
+        rows = load_trace_csv(csv_path)
         start_rows = [r for r in rows if r.k == 0]
         assert {r.solver for r in start_rows} == {"pg", "ipg"}
         assert len({r.objective for r in start_rows}) == 1
 
     def test_rows_serialized_in_spec_order(self, tmp_path):
-        result = run_experiment(small_spec(tmp_path, ["aipg", "pg"]))
-        rows = load_trace_csv(result.csv_path)
+        runs, csv_path = small_run(tmp_path, ["aipg", "pg"])
+        assert [kind for kind, _, _ in runs] == ["aipg", "pg"]
+        rows = load_trace_csv(csv_path)
         boundary = max(i for i, r in enumerate(rows) if r.solver == "aipg")
         assert all(r.solver == "pg" for r in rows[boundary + 1:])
 
     def test_repeat_runs_identical_modulo_time(self, tmp_path):
-        first = run_experiment(small_spec(tmp_path, ["ipg", "nmaipg"]))
-        rows_a = load_trace_csv(first.csv_path)
-        second_spec = dataclasses.replace(
-            small_spec(tmp_path, ["ipg", "nmaipg"]), out_path=str(tmp_path / "again.csv")
-        )
-        rows_b = load_trace_csv(run_experiment(second_spec).csv_path)
+        rows_a = load_trace_csv(small_run(tmp_path, ["ipg", "nmaipg"])[1])
+        rows_b = load_trace_csv(small_run(tmp_path, ["ipg", "nmaipg"], out="again.csv")[1])
         strip = lambda r: dataclasses.replace(r, time_s=0.0)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
     def test_exact_prox_refusal_recorded_as_failure(self, tmp_path):
-        spec = small_spec(tmp_path, ["pg", "ipg"], application="robust_tracelasso")
-        result = run_experiment(spec)
-        assert not result.ok
-        assert [kind for kind, _ in result.failures] == ["pg"]
-        rows = load_trace_csv(result.csv_path)
+        runs, csv_path = small_run(tmp_path, ["pg", "ipg"], application="robust_tracelasso")
+        assert failed_kinds(runs) == ["pg"]
+        rows = load_trace_csv(csv_path)
         failed = [r for r in rows if r.branch == "failed"]
         assert len(failed) == 1 and failed[0].solver == "pg"
         assert any(r.solver == "ipg" and r.k > 0 for r in rows)
@@ -153,9 +162,9 @@ class TestRunExperiment:
             raise SolverAbort("synthetic blow-up", trace.records)
 
         monkeypatch.setattr(bench_mod, "run_solver", blows_up_after_five)
-        result = run_experiment(small_spec(tmp_path, ["ipg"], max_iters=50))
-        assert not result.ok
-        rows = load_trace_csv(result.csv_path)
+        runs, csv_path = small_run(tmp_path, ["ipg"], max_iters=50)
+        assert failed_kinds(runs) == ["ipg"]
+        rows = load_trace_csv(csv_path)
         assert [r.k for r in rows] == [0, 1, 2, 3, 4, 5, 6]
         assert rows[-1].branch == "failed"
         assert all(r.branch != "failed" for r in rows[:-1])
@@ -177,22 +186,22 @@ class TestRunExperiment:
                 value, grad = self.loss.eval(x)
                 return value, grad * np.nan if self.calls >= 3 else grad
 
-        trace, rows, error = bench_mod.run_to_rows(
+        [(run_kind, rows, error)] = bench_mod.run_configs(
             "nan", NanGradientLoss(), L1Penalty(0.1), np.zeros(4),
-            SolverConfig(max_iters=10, solver_kind=kind),
+            [SolverConfig(max_iters=10, solver_kind=kind)],
         )
-        assert trace is None
+        assert run_kind == kind and error is not None
         assert f"aborted at iteration {failed_at}" in error and "non-finite" in error
         assert [r.k for r in rows] == list(range(failed_at + 1))
         assert [r.branch for r in rows][-1] == "failed"
         assert all(np.isfinite(r.objective) for r in rows[:-1])
 
     def test_inexact_tracks_exact_final_objective(self, tmp_path):
-        spec = small_spec(tmp_path, ["pg", "ipg"], max_iters=200)
-        result = run_experiment(spec)
-        (_, pg_trace), (_, ipg_trace) = result.traces
-        f_pg = pg_trace.records[-1].objective
-        f_ipg = ipg_trace.records[-1].objective
+        runs, _ = small_run(tmp_path, ["pg", "ipg"], max_iters=200)
+        assert failed_kinds(runs) == []
+        (_, pg_rows, _), (_, ipg_rows, _) = runs
+        f_pg = pg_rows[-1].objective
+        f_ipg = ipg_rows[-1].objective
         assert abs(f_ipg - f_pg) <= 1e-3 * abs(f_pg)
 
 
@@ -293,6 +302,26 @@ class TestCommandLine:
         ])
         assert code == 0
 
+    def test_bench_summary_is_the_summary_of_its_trace_csv(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main([
+            "bench", "robust_tracelasso", "--out", str(out), "--solver", "pg", "--solver", "ipg",
+            "--max-iters", "8", "--n", "30", "--d", "6", "--sparsity", "2", "--seed", "3",
+        ])
+        assert code == 1
+        printed = capsys.readouterr()
+        rows = load_trace_csv(out)
+        expected = []
+        for solver in dict.fromkeys(r.solver for r in rows):
+            last = [r for r in rows if r.solver == solver][-1]
+            if last.branch != "failed":
+                expected.append(f"{solver}: iters={last.k} objective={last.objective:.10g}")
+        assert printed.out.splitlines() == expected + [f"wrote {out}"]
+        assert [line.split(" objective=")[0] for line in expected] == ["ipg: iters=8"]
+        assert printed.err.splitlines() == [
+            "solver pg failed: trace-lasso penalty has no exact prox; use an inexact solver kind"
+        ]
+
     def test_solver_failure_exits_nonzero(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main([
@@ -355,6 +384,13 @@ class TestCommandLine:
         assert "['n'] have no effect" in capsys.readouterr().err
         assert not out.exists()
         assert main(["bench", "robust_oscar", "--data", str(data), "--max-iters", "3", "--out", str(out)]) == 0
+
+    def test_non_finite_sigma_exits_with_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["gen", "robust_oscar", "--out", str(data), "--n", "20", "--d", "5", "--groups", "2"])
+        code = main(["solve", "--data", str(data), "--loss", "correntropy", "--reg", "l1", "--sigma", "inf"])
+        assert code == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
 
     def test_loss_reg_mismatch_exits_with_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -110,6 +110,25 @@ class TestSignedLowrank:
         np.testing.assert_array_equal(a.signs, b.signs)
 
 
+@pytest.mark.parametrize(
+    "application, params",
+    [
+        ("robust_oscar", {"n": 60.0}),
+        ("robust_oscar", {"d": 12.0}),
+        ("robust_oscar", {"n_groups": 2.5}),
+        ("lasso_baseline", {"n": 60.0}),
+        ("lasso_baseline", {"d": 12.0}),
+        ("robust_tracelasso", {"sparsity": 2.5}),
+        ("link_prediction", {"n_users": 10.0}),
+    ],
+    ids=["oscar-n", "oscar-d", "oscar-groups", "lasso-n", "lasso-d", "tracelasso-sparsity", "users"],
+)
+def test_non_integral_sizes_rejected(application, params):
+    # the rule of linalg.check_rank; numpy or range used to raise TypeError
+    with pytest.raises(ValueError, match="integer"):
+        generate(application, params=params)
+
+
 class TestCorrelatedDesign:
     def test_deterministic(self):
         a, xa = gen_correlated_design(60, 10, 0.5, 3, seed=10)

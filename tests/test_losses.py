@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,13 @@ class TestCorrentropy:
         ds, _ = make_dataset(6)
         with pytest.raises(ValueError):
             CorrentropyLoss(ds, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # sigma = inf made every value inf * 0 = nan, so a run aborted at iteration 0
+        ds, _ = make_dataset(6)
+        with pytest.raises(ValueError, match="finite"):
+            CorrentropyLoss(ds, sigma=sigma)
 
 
 class TestSquareLoss:

@@ -555,9 +555,9 @@ class TestGuards:
         [
             ("delta", math.nan),
             ("delta", math.inf),
+            ("max_iters", 2.5),
             ("inner_max_iters", 0),
-            ("rank_power_iters", 0),
-            ("rank_power_iters", -3),
+            ("inner_max_iters", 2.5),
             ("objective_tolerance", -1e-9),
             ("objective_tolerance", math.nan),
             ("gamma", math.nan),
@@ -566,14 +566,13 @@ class TestGuards:
     )
     def test_config_rejects_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SolverConfig(max_iters=5, solver_kind="nmaipg", **{field: value})
+            SolverConfig(**{"max_iters": 5, "solver_kind": "nmaipg", field: value})
 
     def test_config_boundary_values_accepted(self):
         cfg = SolverConfig(
-            max_iters=5, solver_kind="nmaipg", delta=1e12, inner_max_iters=1,
-            rank_power_iters=1, objective_tolerance=0.0,
+            max_iters=5, solver_kind="nmaipg", delta=1e12, inner_max_iters=1, objective_tolerance=0.0,
         )
-        assert cfg.inner_max_iters == cfg.rank_power_iters == 1
+        assert cfg.inner_max_iters == 1
 
 
 class TestDeterminism:
@@ -612,7 +611,7 @@ class TestMatrixRuns:
 
     def test_power_mode_runs_and_certifies(self):
         loss, constraint, x0 = self.build(seed=4)
-        cfg = SolverConfig(max_iters=10, solver_kind="ipg", rank_mode="power", rank_power_iters=50)
+        cfg = SolverConfig(max_iters=10, solver_kind="ipg", rank_mode="power")
         trace = run_solver(loss, constraint, x0, cfg)
         assert all(np.isfinite(r.objective) for r in trace.records)
         assert all(r.certified_eps >= 0.0 for r in trace.records)
