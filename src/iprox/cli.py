@@ -115,11 +115,11 @@ def _build_configs(args):
     ]
 
 
-def _run_and_report(args, run_id, loss, penalty, x0):
-    """Run the configured solvers, print one line per run from its trace rows
-    (failures on stderr), write the trace CSV when --out is given, and
-    return the exit status."""
-    runs = run_configs(run_id, loss, penalty, x0, _build_configs(args))
+def _run_and_report(args, configs, run_id, loss, penalty, x0):
+    """Run the configs, print one line per run from its trace rows (failures
+    on stderr), write the trace CSV when --out is given, and return the exit
+    status."""
+    runs = run_configs(run_id, loss, penalty, x0, configs)
     for kind, rows, error in runs:
         if error is None:
             print(f"{kind}: iters={rows[-1].k} objective={rows[-1].objective:.10g}")
@@ -131,9 +131,10 @@ def _run_and_report(args, run_id, loss, penalty, x0):
 
 
 def _cmd_bench(args):
+    configs = _build_configs(args)  # before the generator meets a bad seed
     problem = build_problem(args.application, args.seed, _collect_params(args), args.data)
     run_id = f"{args.application}-s{args.seed}"
-    return _run_and_report(args, run_id, problem.loss, problem.regularizer, problem.x0)
+    return _run_and_report(args, configs, run_id, problem.loss, problem.regularizer, problem.x0)
 
 
 def _cmd_gen(args):
@@ -174,7 +175,7 @@ def _build_solve_problem(args):
 
 def _cmd_solve(args):
     run_id = f"solve-{args.loss}-{args.reg}-s{args.seed}"
-    return _run_and_report(args, run_id, *_build_solve_problem(args))
+    return _run_and_report(args, _build_configs(args), run_id, *_build_solve_problem(args))
 
 
 def _build_parser():

@@ -10,8 +10,10 @@ The two spectral routines work on the smaller Gram matrix of their input:
 one m x m product and one symmetric eigensolve, m the smaller dimension,
 in place of a full SVD. The inexact rank prox in iprox.prox never forms
 that matrix to iterate: its residual mode certifies each sweep from
-products with the input, and only its power mode, or a residual-mode call
-that never separates the top r Ritz values, takes one eigvalsh of it.
+products with the input. It forms the matrix once in a call only where
+the trace of the complement block does not separate the top r Ritz
+values, for the block's Frobenius norm. Its power mode, or a residual-mode
+call that neither norm separates, takes one eigvalsh of it.
 """
 from __future__ import annotations
 

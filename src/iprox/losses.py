@@ -70,15 +70,6 @@ def _check_dim(x, expected, name="x"):
         raise ValueError(f"{name} has length {x.shape[0]}, expected {expected}")
 
 
-def _stable_sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 @dataclass(eq=False)
 class CorrentropyLoss:
     """Welsch/correntropy-induced fit: (sigma^2/2) * sum_i (1 - exp(-res_i^2/sigma^2)).
@@ -139,23 +130,31 @@ class MaskedLogisticLoss:
     The iterate is an n_users x n_users matrix; the gradient is supported on
     the observed entries only. Both branches of the sigmoid/softplus are
     computed in their numerically safe form, so entries with |X_ij| in the
-    hundreds do not overflow.
+    hundreds do not overflow: with t = X_ij * M_ij and u = exp(-|t|) from
+    one exp, sigmoid(-t) is u / (1 + u) for t > 0 and 1 / (1 + u) otherwise.
     """
 
     observed: ObservedSignMatrix
+
+    @cached_property
+    def _flat(self):
+        return self.observed.rows * self.observed.n_users + self.observed.cols
+
+    @cached_property
+    def _half_neg_signs(self):
+        return -0.5 * self.observed.signs
 
     def eval(self, x):
         x = as_matrix(x)
         n = self.observed.n_users
         if x.shape != (n, n):
             raise ValueError(f"iterate has shape {x.shape}, expected {(n, n)}")
-        t = x[self.observed.rows, self.observed.cols] * self.observed.signs
+        t = x.take(self._flat) * self.observed.signs
         value = 0.5 * float(np.logaddexp(0.0, -t).sum())
-        grad = np.zeros_like(x)
-        grad[self.observed.rows, self.observed.cols] = (
-            -0.5 * self.observed.signs * _stable_sigmoid(-t)
-        )
-        return value, grad
+        u = np.exp(-np.abs(t))
+        grad = np.zeros(n * n)
+        grad[self._flat] = self._half_neg_signs * (np.where(t > 0, u, 1.0) / (1.0 + u))
+        return value, grad.reshape(n, n)
 
     def lipschitz(self):
         return 0.125

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, is_int
 
 
 def magnitude_order(x):
@@ -143,7 +143,7 @@ class RankConstraint:
     tol = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:  # the rule of check_rank
+        if not is_int(self.r) or self.r < 1:
             raise ValueError(f"rank bound must be a positive integer, got {self.r!r}")
 
     def feasible(self, x, tol=None):

@@ -316,9 +316,9 @@ def prox_oscar_inexact(
     return ProxResult(best_x, certified, t, history, converged=certified <= eps_target)
 
 
-def _top_eigensum(a, r):
-    """Sum of the r largest eigenvalues of the Gram matrix a^T a, from one eigvalsh."""
-    return float(np.sum(np.linalg.eigvalsh(a.T @ a)[-r:]))
+def _top_eigensum(gram, r):
+    """Sum of the r largest eigenvalues of a Gram matrix, from one eigvalsh."""
+    return float(np.sum(np.linalg.eigvalsh(gram)[-r:]))
 
 
 def prox_rank(
@@ -349,15 +349,22 @@ def prox_rank(
       is the rounding scale of the computed residual, traces and Ritz
       values. With e = ||G Q_r - Q_r A||_F + delta (at least ||E||_2 for
       the off-diagonal block E of G in the basis [Q_r, Q_r-perp]),
-      beta = ||a||_F^2 - tr(A) + (r + 1) delta (at least the trace of the
-      complement block, so at least its top eigenvalue) and
+      beta at least the top eigenvalue of the complement block B, and
       eta = lambda_min(A) - beta, the r largest eigenvalues of G each lie
       within 2 e^2 / (eta + sqrt(eta^2 + 4 e^2)) of A's once eta > 0, so
-      r times that, the quadratic part, bounds top - tr(A).
-      rho = 2 r eps_mach sqrt(r ||a||_F^2 beta) bounds what rounding adds
+      r times that, the quadratic part, bounds top - tr(A). beta is
+      min(tr_B, f_B). tr_B = ||a||_F^2 - tr(A) + (r + 1) delta is at
+      least tr(B) and costs nothing extra. f_B, taken only on sweeps where
+      tr_B leaves eta <= 0, is at least ||B||_F >= ||B||_2:
+      f_B^2 = ||G||_F^2 - 2 ||G Q_r||_F^2 + sum lambda^2 + pad, with G
+      formed once per call at the first such sweep. ||G||_F, ||G Q_r||_F
+      and each Ritz value are at most ||a||_F^2, because
+      ||G||_F <= tr(G), and each carries rounding of at most delta, so
+      pad = (8 ||a||_F^2 + (r + 3) delta) delta covers that of the squares.
+      rho = 2 r eps_mach sqrt(r ||a||_F^2 tr_B) bounds what rounding adds
       to the returned point's gap: the final product's error outside the
       span of Q_r, at most r eps_mach sqrt(r ||a||_F^2) in norm, meets
-      the residual a - a Q_r Q_r^T, at most sqrt(beta) in norm. The
+      the residual a - a Q_r Q_r^T, at most sqrt(tr_B) in norm. The
       certificate is (quadratic part + rho) / 2 gamma, and the sweeps stop
       once the quadratic part is at most rho or the computed residual norm
       is at most delta. A sweep with eta <= 0 has no bound (gap_history
@@ -387,12 +394,13 @@ def prox_rank(
         v0 = np.random.default_rng(seed).standard_normal((m, min(r + 5, m)))
     q = np.linalg.qr(v0)[0]
     if mode == "power":
-        top = _top_eigensum(a, r)
+        top = _top_eigensum(a.T @ a, r)
         tol = m * eps * top
     else:
         total = float(np.sum(a * a))
         delta = (a.shape[0] + m + 2 * q.shape[1]) * math.sqrt(q.shape[1]) * eps * total
         ritz_prev = -math.inf
+        gram = None  # formed once, on the first sweep the trace bound leaves unseparated
     history = []
     for sweeps in range(power_iters + 1):
         aq = a @ q
@@ -405,17 +413,25 @@ def prox_rank(
             gap = max(top - ritz, 0.0)
             done = gap <= tol
         else:
-            resid = gq @ w - (q @ w) * lam
+            gw = gq @ w
+            resid = gw - (q @ w) * lam
             e_c = math.sqrt(float(np.sum(resid * resid)))
             e = e_c + delta
-            beta = max(total - ritz, 0.0) + (r + 1) * delta
+            beta = max(total - ritz, 0.0) + (r + 1) * delta  # tr_B
             eta = float(lam[0]) - beta
             rho = 2.0 * r * eps * math.sqrt(r * total * beta)
+            if eta <= 0:  # try f_B
+                if gram is None:
+                    gram = a.T @ a
+                    gram_sq = float(np.sum(gram * gram))
+                frob_sq = gram_sq - 2.0 * float(np.sum(gw * gw)) + float(lam @ lam)
+                pad = (8.0 * total + (r + 3) * delta) * delta
+                eta = float(lam[0]) - math.sqrt(max(frob_sq, 0.0) + pad)
             if eta > 0:
                 quad = r * 2.0 * e * e / (eta + math.sqrt(eta * eta + 4.0 * e * e))
                 gap, done = quad + rho, quad <= rho or e_c <= delta
             elif last or ritz - ritz_prev <= delta:
-                gap, done = max(_top_eigensum(a, r) - ritz, 0.0) + delta + rho, True
+                gap, done = max(_top_eigensum(gram, r) - ritz, 0.0) + delta + rho, True
             else:
                 gap, done = math.inf, False
             ritz_prev = ritz

@@ -139,6 +139,8 @@ class SolverConfig:
             raise ValueError("gamma must be positive")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
+        if not is_int(self.seed) or self.seed < 0:  # numpy's generators take no other seed
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.objective_tolerance is not None and not self.objective_tolerance >= 0:
             raise ValueError("objective_tolerance must be non-negative")
         if not is_int(self.inner_max_iters) or self.inner_max_iters < 1:

@@ -375,6 +375,13 @@ class TestCommandLine:
         assert code == 2
         assert "not used by link_prediction" in capsys.readouterr().err
 
+    def test_negative_seed_exits_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["bench", "link_prediction", "--seed", "-1", "--max-iters", "2", "--out", str(out)])
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_size_flag_with_data_exits_with_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["gen", "robust_oscar", "--out", str(data), "--n", "30", "--d", "6"])

@@ -33,6 +33,21 @@ def make_dataset(seed, n=12, d=5):
     return RegressionDataset(rng.standard_normal((n, d)), rng.standard_normal(n)), rng
 
 
+def reference_logistic_eval(obs, x):
+    """The logistic loss by its defining formulas: the logaddexp value and the
+    two-branch sigmoid, gathered and scattered by 2-d fancy indexing."""
+    t = x[obs.rows, obs.cols] * obs.signs
+    z = -t
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    sig[~pos] = e / (1.0 + e)
+    grad = np.zeros_like(x)
+    grad[obs.rows, obs.cols] = -0.5 * obs.signs * sig
+    return 0.5 * float(np.logaddexp(0.0, -t).sum()), grad
+
+
 class TestCorrentropy:
     def test_zero_residual(self):
         ds, rng = make_dataset(0)
@@ -178,6 +193,35 @@ class TestMaskedLogistic:
             a, b = rng.standard_normal((2, 6, 6))
             ga, gb = loss.eval(a)[1], loss.eval(b)[1]
             assert np.linalg.norm(ga - gb) <= 0.125 * np.linalg.norm(a - b) + 1e-9
+
+    def test_bit_equal_to_the_defining_formulas_at_extremes(self):
+        # each t = X_ij * M_ij is hit twice, once per sign of the observation
+        ts = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0]
+        signs = np.repeat([[1.0, -1.0]], len(ts), axis=0).ravel()
+        flat = np.arange(2 * len(ts))
+        obs = ObservedSignMatrix(4, flat // 4, flat % 4, signs)
+        x = np.zeros((4, 4))
+        x[obs.rows, obs.cols] = np.repeat(ts, 2) * signs
+        value, grad = MaskedLogisticLoss(obs).eval(x)
+        ref_value, ref_grad = reference_logistic_eval(obs, x)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert grad[0, 0] == -0.25  # sigmoid(0) = 1/2
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_bit_equal_to_the_defining_formulas_on_random_data(self, scale):
+        rng = np.random.default_rng(int(scale))
+        n = 30
+        flat = rng.choice(n * n, size=300, replace=False)
+        obs = ObservedSignMatrix(n, flat // n, flat % n, rng.choice([-1.0, 1.0], size=300))
+        loss = MaskedLogisticLoss(obs)
+        for _ in range(5):
+            x = scale * rng.standard_normal((n, n))
+            ref_value, ref_grad = reference_logistic_eval(obs, x)
+            for layout in (x, np.asfortranarray(x)):  # a column-major iterate gathers the same entries
+                value, grad = loss.eval(layout)
+                assert value == ref_value
+                assert np.array_equal(grad, ref_grad)
 
     def test_duplicate_observation_rejected(self):
         with pytest.raises(ValueError):

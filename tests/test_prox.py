@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import iprox.prox as prox_mod
+import iprox.solvers as solvers_mod
 from iprox.bench import build_problem
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import (
@@ -22,7 +23,7 @@ from iprox.prox import (
     prox_rank,
     prox_tracelasso_inexact,
 )
-from iprox.solvers import SOLVER_KINDS, SolverConfig, run_solver
+from iprox.solvers import SOLVER_KINDS, SolverConfig, run_solver, schedule_eps
 
 
 def oscar_q(x, y, gamma, l1, l2):
@@ -532,6 +533,19 @@ def exact_rank_gap(y, point, gamma, v):
     return (dist + top) / (2 * Fraction(gamma))
 
 
+def two_over_tail(shape, tail):
+    """Singular values 10 and 8 over a flat tail of tail * [1, 0.6]."""
+    rng = np.random.default_rng(4)
+    k = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+    w = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+    return (u * np.r_[10.0, 8.0, tail * np.linspace(1.0, 0.6, k - 2)]) @ w.T
+
+
+def no_gram(*args):
+    raise AssertionError("fell back to the Gram eigvalsh")
+
+
 class TestProxRankResidual:
     @pytest.mark.parametrize("shape", [(520, 8), (8, 520)])
     def test_sound_on_tall_and_wide_inputs(self, shape):
@@ -565,9 +579,6 @@ class TestProxRankResidual:
         y = rng.standard_normal((shape[0], 4)) @ rng.standard_normal((4, shape[1]))
         y += 0.3 * rng.standard_normal(shape)
 
-        def no_gram(*args):
-            raise AssertionError("fell back to the Gram eigvalsh")
-
         monkeypatch.setattr(prox_mod, "_top_eigensum", no_gram)
         for iters in (1, 2, 3, 100):
             res = prox_rank(y, 4, mode="residual", power_iters=iters, seed=0, gamma=0.7)
@@ -577,22 +588,60 @@ class TestProxRankResidual:
         assert res.certified_eps <= 1e-9
 
     @pytest.mark.parametrize("shape", [(12, 9), (9, 12)])
-    @pytest.mark.parametrize("tail", [0.0, 1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("tail", [0.0, 1.0, 3.0, 5.0, 7.0])
     def test_sound_in_exact_arithmetic(self, shape, tail):
-        # singular values 10 and 8 over a flat tail: tails 0, 1 and 3 separate
-        # the top two, 5 falls back. Once converged the certificate is down to
-        # its rounding terms, below what a float64 objective difference
-        # resolves, so it is compared to the gap computed exactly, with no
-        # tolerance
-        rng = np.random.default_rng(4)
-        k = min(shape)
-        u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
-        w = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
-        y = (u * np.r_[10.0, 8.0, tail * np.linspace(1.0, 0.6, k - 2)]) @ w.T
+        # tails 0, 1 and 3 separate the top two by the trace bound, 5 only by
+        # the Frobenius bound, and 7 falls back. Once converged the
+        # certificate is down to its rounding terms, below what a float64
+        # objective difference resolves, so it is compared to the gap
+        # computed exactly, with no tolerance
+        y = two_over_tail(shape, tail)
         v = np.linalg.eigh(y.T @ y)[1][:, -2:]
         for iters in (1, 2, 100):
             res = prox_rank(y, 2, mode="residual", power_iters=iters, seed=0, gamma=0.3)
             assert exact_rank_gap(y, res.point, 0.3, v) <= Fraction(res.certified_eps)
+
+    @pytest.mark.parametrize("shape", [(12, 9), (9, 12)])
+    def test_frobenius_bound_separates_where_the_trace_bound_cannot(self, shape, monkeypatch):
+        # the tail's squared singular values sum to 115 > lambda_2 = 64, so
+        # tr(B) never separates the top two, but the root of their squares'
+        # sum is 46 < 64, so ||B||_F does after one sweep from the random start
+        y = two_over_tail(shape, 5.0)
+        tail_sq = np.linalg.eigvalsh(y.T @ y)[:-2]
+        assert tail_sq.sum() > 64.0 > math.sqrt(float(np.sum(tail_sq**2)))
+
+        monkeypatch.setattr(prox_mod, "_top_eigensum", no_gram)
+        v = np.linalg.eigh(y.T @ y)[1][:, -2:]
+        for iters in (1, 2, 100):
+            res = prox_rank(y, 2, mode="residual", power_iters=iters, seed=0, gamma=0.3)
+            assert all(math.isfinite(h) for h in res.gap_history[1:])
+            assert exact_rank_gap(y, res.point, 0.3, v) <= Fraction(res.certified_eps)
+        assert res.inner_iters < 100 and res.certified_eps <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
+    def test_only_the_first_call_of_each_prox_site_falls_back(self, kind, monkeypatch):
+        # the anchors of k = 1 have a flat spectrum; from k = 2 on, the
+        # Frobenius bound on the complement block separates every call
+        prob = build_problem("link_prediction", seed=7, params={"n_users": 200})
+        config = SolverConfig(max_iters=30, solver_kind=kind, seed=7)
+        targets, fell_back = [], []
+        top_eigensum, rank_prox = prox_mod._top_eigensum, solvers_mod.prox_rank
+
+        def recording_top(*args):
+            fell_back.append(targets[-1])
+            return top_eigensum(*args)
+
+        def recording_prox(*args, **kwargs):
+            targets.append(kwargs["eps_target"])
+            return rank_prox(*args, **kwargs)
+
+        monkeypatch.setattr(prox_mod, "_top_eigensum", recording_top)
+        monkeypatch.setattr(solvers_mod, "prox_rank", recording_prox)
+        trace = run_solver(prob.loss, prob.regularizer, prob.x0, config)
+        assert len(trace.records) == 31
+        first = schedule_eps(config.error_schedule, 1)
+        assert fell_back == [t for t in targets if t == first]
+        assert len(fell_back) == (1 if kind == "ipg" else 2)
 
     def test_fallback_certifies_the_first_link_prediction_call(self):
         # the gradient at 0 is a flat-spectrum sign pattern: no sweep separates

@@ -562,6 +562,8 @@ class TestGuards:
             ("objective_tolerance", math.nan),
             ("gamma", math.nan),
             ("gamma", 0.0),
+            ("seed", 2.5),
+            ("seed", -1),
         ],
     )
     def test_config_rejects_at_construction(self, field, value):
