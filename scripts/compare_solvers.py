@@ -20,7 +20,7 @@ def main():
     parser.add_argument("--application", choices=APPLICATIONS, default="link_prediction")
     parser.add_argument("--max-iters", type=int, default=300)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--eps", type=parse_eps_spec, default=parse_eps_spec("poly:1e-2,2"))
+    parser.add_argument("--eps", type=parse_eps_spec, help="error schedule (default: SolverConfig's)")
     parser.add_argument("--out", default="solver_comparison.csv")
     args = parser.parse_args()
 
@@ -29,10 +29,9 @@ def main():
     if args.application == "robust_tracelasso":
         kinds = [k for k in kinds if k not in EXACT_KINDS]
 
+    given = {} if args.eps is None else {"error_schedule": args.eps}
     configs = [
-        SolverConfig(max_iters=args.max_iters, solver_kind=kind,
-                     error_schedule=args.eps, seed=args.seed)
-        for kind in kinds
+        SolverConfig(max_iters=args.max_iters, solver_kind=kind, seed=args.seed, **given) for kind in kinds
     ]
     runs, csv_path = run_experiment(args.application, configs, args.out, seed=args.seed)
 

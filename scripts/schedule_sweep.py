@@ -29,21 +29,19 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-iters", type=int, default=300)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--n", type=int, default=150)
-    parser.add_argument("--d", type=int, default=30)
+    parser.add_argument("--n", type=int, help="sample count (default: the application's)")
+    parser.add_argument("--d", type=int, help="feature count (default: the application's)")
     args = parser.parse_args()
 
-    prob = build_problem("robust_tracelasso", seed=args.seed, params={"n": args.n, "d": args.d})
-    lip = prob.loss.lipschitz()
-    gamma = 0.9 / lip
-    alpha = 0.5 * (1.0 / (2.0 * gamma) - lip / 2.0)
-
+    params = {name: value for name, value in (("n", args.n), ("d", args.d)) if value is not None}
+    prob = build_problem("robust_tracelasso", seed=args.seed, params=params)
     exact = run_solver(
         prob.loss, prob.regularizer, prob.x0,
-        SolverConfig(max_iters=args.max_iters, solver_kind="aipg", gamma=gamma,
-                     error_schedule=ErrorSchedule.constant(1e-10)),
+        SolverConfig(max_iters=args.max_iters, solver_kind="aipg", error_schedule=ErrorSchedule.constant(1e-10)),
     )
     f_exact = exact.records[-1].objective
+    gamma = exact.gamma  # the solvers' default step, which every run here takes
+    alpha = 0.5 * (1.0 / (2.0 * gamma) - prob.loss.lipschitz() / 2.0)
     print(f"exact accelerated baseline: objective {f_exact:.10f} (aipg at const:1e-10)\n")
     print(f"{'schedule':<12} {'objective':>16} {'gap to exact':>14} {'inner':>9} {'max cert':>10}")
     for label, schedule in SCHEDULES:
@@ -51,8 +49,7 @@ def main():
             schedule = ErrorSchedule.adaptive(alpha)
         trace = run_solver(
             prob.loss, prob.regularizer, prob.x0,
-            SolverConfig(max_iters=args.max_iters, solver_kind="aipg",
-                         gamma=gamma, error_schedule=schedule),
+            SolverConfig(max_iters=args.max_iters, solver_kind="aipg", error_schedule=schedule),
         )
         last = trace.records[-1]
         inner = sum(r.inner_iters for r in trace.records)

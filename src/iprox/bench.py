@@ -19,20 +19,26 @@ from .losses import CorrentropyLoss, MaskedLogisticLoss, SquareLoss
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .solvers import SolverAbort, run_solver
 
-APPLICATIONS = ("robust_oscar", "link_prediction", "robust_tracelasso", "lasso_baseline")
-
-APP_DEFAULTS = {
-    "robust_oscar": {"n": 200, "d": 50, "n_groups": 5, "outlier_frac": 0.1, "noise_sd": 0.05},
-    "lasso_baseline": {
-        "n": 200, "d": 50, "correlation": 0.0, "sparsity": 8,
-        "noise_sd": 0.05, "outlier_frac": 0.0,
-    },
-    "robust_tracelasso": {
-        "n": 150, "d": 30, "correlation": 0.9, "sparsity": 5,
-        "noise_sd": 0.05, "outlier_frac": 0.1,
-    },
-    "link_prediction": {"n_users": 60, "true_rank": 3, "obs_frac": 0.3, "margin": 0.5},
+# application: (generator, its default arguments by parameter name). The
+# order is the CLI's, and scripts/trace_keys.py prints in it.
+_TABLE = {
+    "robust_oscar": (
+        gen_grouped_regression,
+        {"n": 200, "d": 50, "n_groups": 5, "outlier_frac": 0.1, "noise_sd": 0.05},
+    ),
+    "link_prediction": (
+        gen_signed_lowrank, {"n_users": 60, "true_rank": 3, "obs_frac": 0.3, "margin": 0.5},
+    ),
+    "robust_tracelasso": (
+        gen_correlated_design,
+        {"n": 150, "d": 30, "correlation": 0.9, "sparsity": 5, "noise_sd": 0.05, "outlier_frac": 0.1},
+    ),
+    "lasso_baseline": (
+        gen_correlated_design,
+        {"n": 200, "d": 50, "correlation": 0.0, "sparsity": 8, "noise_sd": 0.05, "outlier_frac": 0.0},
+    ),
 }
+APPLICATIONS = tuple(_TABLE)
 
 
 @dataclass
@@ -54,13 +60,14 @@ def _standardized(dataset):
 
 
 def _app_params(application, params):
-    """APP_DEFAULTS of the application updated by params; unknown names raise."""
-    if application not in APPLICATIONS:
+    """The application's default arguments updated by params; unknown names raise."""
+    if application not in _TABLE:
         raise ValueError(f"unknown application {application!r}")
-    unknown = set(params or {}) - set(APP_DEFAULTS[application])
+    defaults = _TABLE[application][1]
+    unknown = set(params or {}) - set(defaults)
     if unknown:
         raise ValueError(f"parameters {sorted(unknown)} not used by {application}")
-    return {**APP_DEFAULTS[application], **(params or {})}
+    return {**defaults, **(params or {})}
 
 
 def generate(application, seed=0, params=None):
@@ -69,16 +76,8 @@ def generate(application, seed=0, params=None):
     The dataset is an ObservedSignMatrix for link_prediction and a
     RegressionDataset otherwise.
     """
-    p = _app_params(application, params)
-    if application == "link_prediction":
-        return gen_signed_lowrank(p["n_users"], p["true_rank"], p["obs_frac"], p["margin"], seed)
-    if application == "robust_oscar":
-        return gen_grouped_regression(
-            p["n"], p["d"], p["n_groups"], p["outlier_frac"], p["noise_sd"], seed,
-        )
-    return gen_correlated_design(
-        p["n"], p["d"], p["correlation"], p["sparsity"], p["noise_sd"], p["outlier_frac"], seed,
-    )
+    p = _app_params(application, params)  # rejects an unknown application first
+    return _TABLE[application][0](**p, seed=seed)
 
 
 def build_problem(application, seed=0, params=None, data_path=None):

@@ -86,32 +86,26 @@ def _add_solver_flags(parser):
         "--solver", action="append", choices=SOLVER_KINDS, default=None,
         help="solver to run; repeat the flag to compare several (default: ipg)",
     )
-    parser.add_argument("--gamma", type=float, default=None, help="step size (default 0.9/L)")
+    parser.add_argument("--gamma", type=float, help="step size (default 0.9/L)")
     parser.add_argument("--max-iters", type=int, default=500, help="outer iteration budget")
     parser.add_argument(
-        "--eps", type=parse_eps_spec, default=ErrorSchedule.polynomial(1e-2, 2.0),
+        "--eps", dest="error_schedule", metavar="EPS", type=parse_eps_spec,
         help="inexactness schedule: const:<c> | poly:<c>,<p> | adaptive:<alpha>[,<floor>]",
     )
-    parser.add_argument("--delta", type=float, default=0.6, help="shortcut descent coefficient")
+    parser.add_argument("--delta", type=float, help="shortcut descent coefficient")
     parser.add_argument("--seed", type=int, default=0, help="dataset and solver seed")
-    parser.add_argument(
-        "--inner-max-iters", type=int, default=2000, help="inner budget of the trace-lasso prox only",
-    )
+    parser.add_argument("--inner-max-iters", type=int, help="inner budget of the trace-lasso prox only")
+
+
+# solver flags whose unset value leaves SolverConfig's default in place
+_CONFIG_FLAGS = ("gamma", "error_schedule", "delta", "inner_max_iters")
 
 
 def _build_configs(args):
-    kinds = args.solver or ["ipg"]
+    given = {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name) is not None}
     return [
-        SolverConfig(
-            max_iters=args.max_iters,
-            solver_kind=kind,
-            gamma=args.gamma,
-            delta=args.delta,
-            error_schedule=args.eps,
-            seed=args.seed,
-            inner_max_iters=args.inner_max_iters,
-        )
-        for kind in kinds
+        SolverConfig(max_iters=args.max_iters, solver_kind=kind, seed=args.seed, **given)
+        for kind in args.solver or ["ipg"]
     ]
 
 

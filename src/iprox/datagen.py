@@ -6,9 +6,11 @@ so recovery-quality checks can run without re-deriving it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import check_rank, is_int
+from .linalg import check_finite_nonneg, check_rank, check_seed, is_int
 from .losses import ObservedSignMatrix, RegressionDataset
 
 
@@ -36,8 +38,8 @@ def gen_grouped_regression(n, d, n_groups, outlier_frac=0.0, noise_sd=0.0, seed=
         raise ValueError("n and d must be positive integers")
     if not is_int(n_groups) or not 1 <= n_groups <= d:
         raise ValueError("n_groups must be an integer in [1, d]")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    check_finite_nonneg(noise_sd, "noise_sd")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     design = rng.standard_normal((n, d))
     values = rng.uniform(0.5, 2.0, size=n_groups) * rng.choice((-1.0, 1.0), size=n_groups)
@@ -63,8 +65,9 @@ def gen_signed_lowrank(n_users, true_rank, obs_frac, margin=0.5, seed=0):
     check_rank((n_users, n_users), true_rank)
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("obs_frac must lie in (0, 1]")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n_users, true_rank))
     b = rng.standard_normal((n_users, true_rank))
@@ -95,8 +98,8 @@ def gen_correlated_design(n, d, correlation, sparsity, noise_sd=0.0, outlier_fra
         raise ValueError("correlation must lie in [0, 1)")
     if not is_int(sparsity) or not 0 <= sparsity <= d:
         raise ValueError("sparsity must be an integer in [0, d]")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    check_finite_nonneg(noise_sd, "noise_sd")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     common = rng.standard_normal(n)
     design = np.sqrt(correlation) * common[:, None] + np.sqrt(1.0 - correlation) * rng.standard_normal((n, d))

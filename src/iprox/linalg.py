@@ -17,6 +17,8 @@ call that neither norm separates, takes one eigvalsh of it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -41,6 +43,20 @@ def as_matrix(a, name="a"):
 def is_int(value):
     """The integer rule of every count and rank: a Python or numpy integer."""
     return isinstance(value, (int, np.integer))
+
+
+def check_seed(seed):
+    """Raise ValueError unless seed is a non-negative integer, the only seed
+    numpy's generators take."""
+    if not is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_finite_nonneg(value, name):
+    """Raise ValueError unless value is a finite number >= 0. nan fails
+    every comparison, and an inf weight gives inf * 0 = nan at zero."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 def check_rank(shape, r):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, is_int
+from .linalg import as_matrix, as_vector, check_finite_nonneg, is_int
 
 
 def magnitude_order(x):
@@ -37,8 +37,7 @@ class L1Penalty:
     is_convex = True
 
     def __post_init__(self):
-        if not self.lam >= 0:  # written so that nan fails it too
-            raise ValueError("lam must be non-negative")
+        check_finite_nonneg(self.lam, "lam")
 
     def value(self, x):
         return self._value(as_vector(x))
@@ -63,8 +62,8 @@ class OscarPenalty:
     is_convex = True
 
     def __post_init__(self):
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ValueError("penalty weights must be non-negative")
+        check_finite_nonneg(self.lambda1, "lambda1")
+        check_finite_nonneg(self.lambda2, "lambda2")
 
     def _weights(self, a):
         return self.lambda1 + self.lambda2 * (_ascending_ranks(a) - 1)
@@ -93,8 +92,7 @@ class TraceLassoPenalty:
 
     def __post_init__(self):
         object.__setattr__(self, "design", as_matrix(self.design, "design"))
-        if not self.lam >= 0:
-            raise ValueError("lam must be non-negative")
+        check_finite_nonneg(self.lam, "lam")
 
     @cached_property
     def factor(self):
@@ -146,13 +144,12 @@ class RankConstraint:
         if not is_int(self.r) or self.r < 1:
             raise ValueError(f"rank bound must be a positive integer, got {self.r!r}")
 
-    def feasible(self, x, tol=None):
+    def feasible(self, x):
         x = as_matrix(x)
         if self.r >= min(x.shape):
             return True
         s = np.linalg.svd(x, compute_uv=False)
-        cutoff = (self.tol if tol is None else tol) * max(s[0], 1.0)
-        return bool(s[self.r] <= cutoff)
+        return bool(s[self.r] <= self.tol * max(s[0], 1.0))
 
     def value(self, x):
         return 0.0 if self.feasible(x) else np.inf

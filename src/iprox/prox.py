@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_rank, is_int, truncated_svd_exact
+from .linalg import as_matrix, as_vector, check_finite_nonneg, check_rank, is_int, truncated_svd_exact
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
@@ -148,8 +148,8 @@ def prox_oscar_exact(y, gamma, lambda1, lambda2):
     y = as_vector(y)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if not (lambda1 >= 0 and lambda2 >= 0):
-        raise ValueError("penalty weights must be non-negative")
+    check_finite_nonneg(lambda1, "lambda1")
+    check_finite_nonneg(lambda2, "lambda2")
     return _prox_oscar_exact(y, gamma, lambda1, lambda2)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import is_int
+from .linalg import check_seed, is_int
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
@@ -35,7 +35,6 @@ from .prox import (
 
 SOLVER_KINDS = ("pg", "apg", "nmapg", "ipg", "aipg", "nmaipg")
 EXACT_KINDS = ("pg", "apg", "nmapg")
-EARLY_STOP_STREAK = 5
 
 
 class SolverAbort(RuntimeError):
@@ -120,13 +119,16 @@ def extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int
-    solver_kind: str
-    gamma: float | None = None  # None picks 0.9 / L at run start
-    delta: float = 0.6
+    """The settings of one run, and the one home of their defaults: the CLI
+    and the scripts pass only the settings they are given."""
+
+    max_iters: int  # outer iterations; every run takes all of them
+    solver_kind: str  # one of SOLVER_KINDS
+    gamma: float | None = None  # step size; None picks 0.9 / L at run start
+    delta: float = 0.6  # shortcut descent coefficient of nmapg/nmaipg
+    # eps_k of the inexact kinds; the exact kinds request eps_k = 0
     error_schedule: ErrorSchedule = field(default_factory=lambda: ErrorSchedule.polynomial(1e-2, 2.0))
-    seed: int = 0
-    objective_tolerance: float | None = None  # early stopping, off by default
+    seed: int = 0  # seed of the rank prox's cold start
     inner_max_iters: int = 2000  # inner budget of the trace-lasso prox only
     rank_mode: str = "residual"  # rank prox mode under inexact kinds: exact, power or residual
 
@@ -139,10 +141,7 @@ class SolverConfig:
             raise ValueError("gamma must be positive")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not is_int(self.seed) or self.seed < 0:  # numpy's generators take no other seed
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.objective_tolerance is not None and not self.objective_tolerance >= 0:
-            raise ValueError("objective_tolerance must be non-negative")
+        check_seed(self.seed)
         if not is_int(self.inner_max_iters) or self.inner_max_iters < 1:
             raise ValueError("inner_max_iters must be a positive integer")
         if self.rank_mode not in ("exact", "power", "residual"):
@@ -308,13 +307,6 @@ def run_solver(loss, penalty, x0, config, keep_iterates=False):
         ) from exc
 
 
-def _early_stop(streak, f_new, f_old, tol):
-    if tol is None:
-        return 0, False
-    streak = streak + 1 if abs(f_new - f_old) <= tol else 0
-    return streak, streak >= EARLY_STOP_STREAK
-
-
 def _run(loss, penalty, x0, config, keep_iterates, records):
     kind = config.solver_kind
     x_cur = np.asarray(x0, dtype=np.float64)
@@ -336,7 +328,6 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     res_z = last_v = None  # latest result at each prox site, for warm starts
     f_z = z_step_sq = None  # the candidate's, under the accelerated kinds only
     prev_step_sq = 0.0
-    streak = 0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
         shortcut = False
@@ -389,9 +380,6 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             iterates.append(state)
         # adaptive schedules key off the monitor displacement when one exists
         prev_step_sq = v_step_sq if v_step_sq is not None else step_sq
-        streak, stop = _early_stop(streak, f_next, f_cur, config.objective_tolerance)
         x_prev, x_cur = x_cur, x_next
         f_cur, grad_cur = f_next, grad_next
-        if stop:
-            break
     return IterationTrace(kind, gamma, config.seed, records, x_cur, iterates)

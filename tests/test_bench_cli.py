@@ -6,9 +6,9 @@ import pytest
 
 import iprox.bench as bench_mod
 from iprox.bench import APPLICATIONS, build_problem, generate, run_experiment
-from iprox.cli import main, parse_eps_spec
+from iprox.cli import _build_configs, _build_parser, main, parse_eps_spec
 from iprox.dataio import load_trace_csv, write_regression_csv, write_sign_triplets
-from iprox.datagen import gen_grouped_regression
+from iprox.datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 from iprox.losses import CorrentropyLoss, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 from iprox.solvers import ErrorSchedule, SolverAbort, SolverConfig, run_solver
@@ -44,12 +44,29 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="not used by robust_oscar"):
             generate("robust_oscar", params=params)
 
-    def test_generate_merges_defaults(self):
-        dataset, x_true = generate("robust_oscar", seed=4, params={"n": 60, "d": 12})
-        expected, expected_x = gen_grouped_regression(60, 12, 5, 0.1, 0.05, seed=4)
-        np.testing.assert_array_equal(dataset.design, expected.design)
-        np.testing.assert_array_equal(dataset.targets, expected.targets)
-        np.testing.assert_array_equal(x_true, expected_x)
+    @pytest.mark.parametrize(
+        "application, params, direct",
+        [
+            ("robust_oscar", {"n": 60, "d": 12}, lambda: gen_grouped_regression(60, 12, 5, 0.1, 0.05, seed=4)),
+            ("link_prediction", {"n_users": 20}, lambda: gen_signed_lowrank(20, 3, 0.3, 0.5, seed=4)),
+            (
+                "robust_tracelasso", {"d": 10},
+                lambda: gen_correlated_design(150, 10, 0.9, 5, 0.05, 0.1, seed=4),
+            ),
+            (
+                "lasso_baseline", {"sparsity": 3},
+                lambda: gen_correlated_design(200, 50, 0.0, 3, 0.05, 0.0, seed=4),
+            ),
+        ],
+        ids=["robust_oscar", "link_prediction", "robust_tracelasso", "lasso_baseline"],
+    )
+    def test_generate_merges_defaults(self, application, params, direct):
+        # the direct call spells out the application's defaults positionally
+        (dataset, truth), (expected, expected_truth) = generate(application, seed=4, params=params), direct()
+        assert type(dataset) is type(expected)
+        for name, value in vars(expected).items():
+            np.testing.assert_array_equal(getattr(dataset, name), value, err_msg=name)
+        np.testing.assert_array_equal(truth, expected_truth)
 
     def test_lasso_uses_square_loss(self):
         prob = build_problem("lasso_baseline", params={"n": 30, "d": 8})
@@ -392,6 +409,27 @@ class TestCommandLine:
         assert not out.exists()
         assert main(["bench", "robust_oscar", "--data", str(data), "--max-iters", "3", "--out", str(out)]) == 0
 
+    def test_gen_negative_seed_exits_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "signs.txt"
+        assert main(["gen", "link_prediction", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reg, flags, name",
+        [("l1", ["--lam", "inf"], "lam"), ("oscar", ["--lambda2", "inf"], "lambda2")],
+        ids=["lam", "lambda2"],
+    )
+    def test_infinite_weight_exits_naming_it(self, tmp_path, capsys, reg, flags, name):
+        # inf * 0 at the zero start point would abort every run with a nan objective
+        data = tmp_path / "data.csv"
+        main(["gen", "lasso_baseline", "--out", str(data), "--n", "20", "--d", "5", "--sparsity", "2"])
+        out = tmp_path / "t.csv"
+        code = main(["solve", "--data", str(data), "--loss", "square", "--reg", reg, *flags, "--out", str(out)])
+        assert code == 2
+        assert f"{name} must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_sigma_exits_with_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["gen", "robust_oscar", "--out", str(data), "--n", "20", "--d", "5", "--groups", "2"])
@@ -421,3 +459,30 @@ class TestCommandLine:
         assert set(APPLICATIONS) == {
             "robust_oscar", "link_prediction", "robust_tracelasso", "lasso_baseline",
         }
+
+    def test_applications_keep_their_order(self):
+        # the CLI's choices and scripts/trace_keys.py's lines follow this order
+        assert APPLICATIONS == ("robust_oscar", "link_prediction", "robust_tracelasso", "lasso_baseline")
+
+
+class TestBuildConfigs:
+    def configs(self, *flags):
+        args = _build_parser().parse_args(["bench", "robust_oscar", "--out", "t.csv", *flags])
+        return _build_configs(args)
+
+    def test_unset_solver_flags_take_the_config_defaults(self):
+        configs = self.configs("--solver", "pg", "--solver", "nmaipg", "--max-iters", "9", "--seed", "3")
+        assert configs == [
+            SolverConfig(max_iters=9, solver_kind="pg", seed=3),
+            SolverConfig(max_iters=9, solver_kind="nmaipg", seed=3),
+        ]
+        assert self.configs() == [SolverConfig(max_iters=500, solver_kind="ipg", seed=0)]
+
+    def test_given_solver_flags_are_honoured(self):
+        [config] = self.configs(
+            "--gamma", "0.25", "--eps", "const:1e-3", "--delta", "0.2", "--inner-max-iters", "7",
+        )
+        assert config == SolverConfig(
+            max_iters=500, solver_kind="ipg", gamma=0.25, error_schedule=ErrorSchedule.constant(1e-3),
+            delta=0.2, inner_max_iters=7,
+        )

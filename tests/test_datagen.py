@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,46 @@ def test_non_integral_sizes_rejected(application, params):
     # the rule of linalg.check_rank; numpy or range used to raise TypeError
     with pytest.raises(ValueError, match="integer"):
         generate(application, params=params)
+
+
+@pytest.mark.parametrize(
+    "application, params, name",
+    [
+        ("robust_oscar", {"noise_sd": math.nan}, "noise_sd"),
+        ("robust_oscar", {"noise_sd": math.inf}, "noise_sd"),
+        ("lasso_baseline", {"noise_sd": math.nan}, "noise_sd"),
+        ("lasso_baseline", {"noise_sd": math.inf}, "noise_sd"),
+        ("link_prediction", {"margin": math.nan}, "margin"),
+        ("link_prediction", {"margin": math.inf}, "margin"),
+    ],
+    ids=["oscar-noise-nan", "oscar-noise-inf", "lasso-noise-nan", "lasso-noise-inf", "margin-nan", "margin-inf"],
+)
+def test_non_finite_floats_rejected(application, params, name):
+    # nan noise used to read as no noise, and an inf margin scaled the truth to inf
+    with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+        generate(application, params=params)
+
+
+@pytest.mark.parametrize(
+    "generate_with_seed",
+    [
+        lambda seed: gen_grouped_regression(10, 4, 2, seed=seed),
+        lambda seed: gen_signed_lowrank(10, 2, 0.5, seed=seed),
+        lambda seed: gen_correlated_design(10, 4, 0.5, 2, seed=seed),
+    ],
+    ids=["grouped", "lowrank", "correlated"],
+)
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_bad_seed_rejected_naming_it(generate_with_seed, seed):
+    # SolverConfig's rule; numpy used to raise without naming the seed, or a TypeError
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        generate_with_seed(seed)
+
+
+def test_numpy_integer_seed_accepted():
+    a, _ = gen_grouped_regression(10, 4, 2, seed=np.int64(3))
+    b, _ = gen_grouped_regression(10, 4, 2, seed=3)
+    np.testing.assert_array_equal(a.design, b.design)
 
 
 class TestCorrelatedDesign:

@@ -231,8 +231,15 @@ def test_negative_weights_rejected():
         lambda: OscarPenalty(np.nan, 0.0),
         lambda: OscarPenalty(0.1, np.nan),
         lambda: TraceLassoPenalty(np.nan, np.eye(3)),
+        lambda: L1Penalty(np.inf),
+        lambda: OscarPenalty(np.inf, 0.0),
+        lambda: OscarPenalty(0.1, np.inf),
+        lambda: TraceLassoPenalty(np.inf, np.eye(3)),
     ],
-    ids=["l1", "oscar-lambda1", "oscar-lambda2", "tracelasso"],
+    ids=[
+        "l1", "oscar-lambda1", "oscar-lambda2", "tracelasso",
+        "l1-inf", "oscar-lambda1-inf", "oscar-lambda2-inf", "tracelasso-inf",
+    ],
 )
 def test_nan_weights_rejected(make):
     with pytest.raises(ValueError, match="non-negative"):

@@ -111,15 +111,19 @@ class TestProxL1:
         lambda y: prox_rank(np.outer(y, y), 1, mode="residual", gamma=math.nan),
         lambda y: prox_rank(np.outer(y, y), 1, mode="power", power_iters=2.5),
         lambda y: prox_tracelasso_inexact(y, 0.5, TraceLassoPenalty(0.1, np.eye(3)), inner_budget=2.5),
+        lambda y: prox_oscar_exact(y, 1.0, math.inf, 0.0),
+        lambda y: prox_oscar_exact(y, 1.0, 0.1, math.inf),
     ],
     ids=[
         "l1-threshold", "oscar-lambda1", "oscar-lambda2", "oscar-gamma", "oscar-inexact-gamma",
         "oscar-inexact-eps", "oscar-inexact-step", "tracelasso-gamma", "rank-gamma",
         "rank-residual-gamma", "rank-power-iters", "tracelasso-inner-budget",
+        "oscar-lambda1-inf", "oscar-lambda2-inf",
     ],
 )
 def test_nan_parameters_rejected(call):
-    # a nan weight or step fails no `x < 0` test and would return an all-nan point;
+    # a nan weight or step fails no `x < 0` test and would return an all-nan point,
+    # and an inf weight can return a nan entry;
     # a non-integral count would reach range() as a TypeError
     with pytest.raises(ValueError):
         call(np.array([0.5, -1.0, 2.0]))
