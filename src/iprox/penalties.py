@@ -131,9 +131,11 @@ class TraceLassoPenalty:
 class RankConstraint:
     """Indicator of {X : rank(X) <= r}, evaluated with a singular-value cutoff.
 
-    value and feasible run an SVD. The solvers call them only on points
-    from outside, such as the start point: prox_rank outputs have rank
-    <= r by construction and take value 0.
+    value and feasible run an SVD, except on a point with ||X||_F <= tol:
+    every singular value is then at most tol, within the cutoff, so the
+    point is feasible without one. The solvers call them only on points
+    from outside, such as the start point (often zero): prox_rank outputs
+    have rank <= r by construction and take value 0.
     """
 
     r: int
@@ -146,7 +148,7 @@ class RankConstraint:
 
     def feasible(self, x):
         x = as_matrix(x)
-        if self.r >= min(x.shape):
+        if self.r >= min(x.shape) or np.linalg.norm(x) <= self.tol:
             return True
         s = np.linalg.svd(x, compute_uv=False)
         return bool(s[self.r] <= self.tol * max(s[0], 1.0))

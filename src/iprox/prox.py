@@ -60,7 +60,9 @@ def _pav_nonincreasing(z):
     """Euclidean projection of a sequence onto non-increasing sequences.
 
     Pools adjacent violators with a stack of blocks (sum, count), merging
-    while the top block's mean is below the current one. Only an ascent
+    while the top block's mean is below the current one. The means compared
+    are the quotients sum / count that are written out, so the output never
+    rises, not even by an ulp where two means tie. Only an ascent
     z[i - 1] < z[i] can start a merge: between two ascents z is
     non-increasing, so once an element of such a stretch settles as a
     block of one, so does every later element of the stretch (none exceeds
@@ -91,7 +93,7 @@ def _pav_nonincreasing(z):
                 cnt = counts[-1]
                 if top is None:  # the run's last singleton, z[i - cur_cnt]
                     top = val(i - cur_cnt)
-                    if not top * cur_cnt < cur_sum:
+                    if not top < cur_sum / cur_cnt:
                         break
                     cur_sum += top
                     cur_cnt += 1
@@ -100,7 +102,7 @@ def _pav_nonincreasing(z):
                         counts.pop()
                     else:
                         counts[-1] = cnt - 1
-                elif top * cur_cnt < cur_sum * cnt:
+                elif top / cnt < cur_sum / cur_cnt:
                     cur_sum += top
                     cur_cnt += cnt
                     sums.pop()
@@ -130,7 +132,7 @@ def _pav_elementwise(z):
     for cur_sum in z.tolist():
         cur_cnt = 1
         # pooling keeps block means non-increasing left to right
-        while sums and sums[-1] * cur_cnt < cur_sum * counts[-1]:
+        while sums and sums[-1] / counts[-1] < cur_sum / cur_cnt:
             cur_sum += sums.pop()
             cur_cnt += counts.pop()
         sums.append(cur_sum)
@@ -252,6 +254,8 @@ def prox_oscar_inexact(
     y = as_vector(y)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    check_finite_nonneg(lambda1, "lambda1")
+    check_finite_nonneg(lambda2, "lambda2")
     if not eps_target >= 0:
         raise ValueError("eps_target must be non-negative")
     if lambda1 == 0 and lambda2 == 0:

@@ -223,6 +223,26 @@ class TestMaskedLogistic:
                 assert value == ref_value
                 assert np.array_equal(grad, ref_grad)
 
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_value_within_a_few_ulps_of_logaddexp(self, scale):
+        # the value is max(-t, 0) + log1p(exp(-|t|)) per entry, which differs
+        # from np.logaddexp(0, -t) in the last bits of a few percent of entries
+        rng = np.random.default_rng(10 + int(scale))
+        n = 60
+        flat = rng.choice(n * n, size=1200, replace=False)
+        obs = ObservedSignMatrix(n, flat // n, flat % n, rng.choice([-1.0, 1.0], size=1200))
+        loss = MaskedLogisticLoss(obs)
+        eps = np.finfo(np.float64).eps
+        for _ in range(5):
+            x = scale * rng.standard_normal((n, n))
+            t = x[obs.rows, obs.cols] * obs.signs
+            terms = np.logaddexp(0.0, -t)
+            split = np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+            assert np.any(split != terms)  # the inputs reach entries whose bits differ
+            value, _ = loss.eval(x)
+            ref_value = 0.5 * float(terms.sum())
+            assert abs(value - ref_value) <= 4 * eps * ref_value
+
     def test_duplicate_observation_rejected(self):
         with pytest.raises(ValueError):
             ObservedSignMatrix(4, [1, 1], [2, 2], [1.0, -1.0])

@@ -179,6 +179,36 @@ class TestRankConstraint:
         c = RankConstraint(1)
         assert c.feasible(x) and c.feasible(q @ x @ q.T)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-12, 0.5, 1.0])
+    def test_points_within_tol_skip_the_svd(self, scale, monkeypatch):
+        # ||x||_F <= tol bounds every singular value by tol, inside the cutoff
+        c = RankConstraint(1)
+        x = np.random.default_rng(10).standard_normal((200, 200))
+        x *= scale * c.tol / np.linalg.norm(x)
+        assert np.linalg.norm(x) <= c.tol
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("feasible ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert c.feasible(x)
+        assert c.value(x) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_points_just_above_tol_keep_the_svd_answer(self, scale, rank):
+        c = RankConstraint(2)
+        rng = np.random.default_rng(rank)
+        q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        x = q1[:, :rank] @ q2[:, :rank].T  # equal singular values, the hardest case for the cutoff
+        x *= scale * c.tol / np.linalg.norm(x)
+        s = np.linalg.svd(x, compute_uv=False)
+        assert c.feasible(x) == bool(s[c.r] <= c.tol * max(s[0], 1.0))
+        # equal singular values scaled to a norm of scale * tol: rank 3 is
+        # inside the cutoff exactly when none exceeds tol
+        assert c.feasible(x) == (rank <= 2 or scale <= np.sqrt(3.0))
+
     def test_large_r_always_feasible(self):
         rng = np.random.default_rng(9)
         assert RankConstraint(5).feasible(rng.standard_normal((4, 5)))

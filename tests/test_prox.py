@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,12 +131,15 @@ def test_nan_parameters_rejected(call):
 
 
 def pav_loop_reference(z):
-    """Loop-form pooling, the bitwise reference: numpy scalars in, one slice per block out."""
+    """Loop-form pooling, the bitwise reference: numpy scalars in, one slice per block out.
+
+    Blocks merge on the means that are written out, so ties never rise.
+    """
     sums = []
     counts = []
     for val in z:
         cur_sum, cur_cnt = float(val), 1
-        while sums and sums[-1] * cur_cnt < cur_sum * counts[-1]:
+        while sums and sums[-1] / counts[-1] < cur_sum / cur_cnt:
             cur_sum += sums.pop()
             cur_cnt += counts.pop()
         sums.append(cur_sum)
@@ -205,6 +209,19 @@ class TestPoolAdjacentViolators:
         z = np.array(z, dtype=np.float64)
         out = _pav_nonincreasing(z)
         assert out.shape == z.shape and out.dtype == np.float64
+        assert out.tobytes() == pav_loop_reference(z).tobytes()
+
+    @pytest.mark.parametrize(
+        "pav", [_pav_nonincreasing, prox_mod._pav_elementwise], ids=["stretches", "elementwise"]
+    )
+    def test_tied_block_means_do_not_rise(self, pav):
+        # blocks [0, 92) and [92, 138) have equal means; merging on the rounded
+        # cross-products s1 * c2 < s2 * c1 kept them apart, yet the quotients
+        # s / c written out rose by one ulp from out[91] to out[92]
+        z = np.full(138, 988.0)
+        z[[65, 91, 137]] = 1316.1569926455654
+        out = pav(z)
+        assert np.all(np.diff(out) <= 0.0)
         assert out.tobytes() == pav_loop_reference(z).tobytes()
 
     def test_last_pair_ascent_pools_back(self):
@@ -332,6 +349,17 @@ class TestDualGap:
 
 
 class TestProxOscarInexact:
+    @pytest.mark.parametrize(
+        "lambda1,lambda2,name",
+        [(0.1, math.inf, "lambda2"), (math.nan, 0.1, "lambda1"), (-0.1, 0.1, "lambda1")],
+        ids=["lambda2-inf", "lambda1-nan", "lambda1-negative"],
+    )
+    def test_bad_weight_rejected_by_name_before_any_arithmetic(self, lambda1, lambda2, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from the weight ladder would escape first
+            with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+                prox_oscar_inexact(np.array([1.0, -2.0, 0.5]), 1.0, lambda1, lambda2, 1e-6)
+
     def test_already_optimal_at_zero(self):
         res = prox_oscar_inexact(np.zeros(4), 1.0, 0.5, 0.5, eps_target=1e-8)
         assert res.inner_iters == 0

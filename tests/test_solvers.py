@@ -9,7 +9,7 @@ import iprox.prox as prox_mod
 import iprox.solvers as solvers_mod
 from iprox.bench import build_problem
 from iprox.linalg import as_vector
-from iprox.losses import RegressionDataset, SquareLoss
+from iprox.losses import MaskedLogisticLoss, RegressionDataset, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint
 from iprox.prox import prox_l1, prox_oscar_exact, prox_rank
 from iprox.solvers import (
@@ -740,3 +740,31 @@ class TestRankFeasibility:
         with pytest.raises(SolverAbort, match="iteration 0") as info:
             run_solver(prob.loss, prob.regularizer, x0, SolverConfig(max_iters=5, solver_kind=kind))
         assert info.value.records == []
+
+
+class LogaddexpLogisticLoss(MaskedLogisticLoss):
+    """The masked logistic loss with its value from np.logaddexp(0, -t)."""
+
+    def eval(self, x):
+        _, grad = super().eval(x)
+        t = x.take(self._flat) * self.observed.signs
+        return 0.5 * float(np.logaddexp(0.0, -t).sum()), grad
+
+
+class TestLogisticValue:
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_runs_match_the_logaddexp_value_up_to_objective_rounding(self, kind):
+        # the loss value enters only objectives and the comparisons between
+        # them; a few ulps there must not change a step, branch or certificate
+        prob = build_problem("link_prediction", seed=7)
+        config = SolverConfig(max_iters=100, solver_kind=kind, seed=7)
+        shipped = run_solver(prob.loss, prob.regularizer, prob.x0, config)
+        reference = run_solver(LogaddexpLogisticLoss(prob.loss.observed), prob.regularizer, prob.x0, config)
+        assert len(shipped.records) == len(reference.records)
+        for got, want in zip(shipped.records, reference.records):
+            assert (got.branch, got.step_norm_sq, got.certified_eps, got.inner_iters) == (
+                want.branch, want.step_norm_sq, want.certified_eps, want.inner_iters,
+            ), got.k
+            assert abs(got.objective - want.objective) <= 4 * np.spacing(want.objective), got.k
+        assert not np.array_equal(shipped.objectives(), reference.objectives())  # the values do differ
+        assert np.array_equal(shipped.final_point, reference.final_point)
