@@ -112,11 +112,13 @@ def _build_configs(args):
 def _run_and_report(args, configs, run_id, loss, penalty, x0):
     """Run the configs, print one line per run from its trace rows (failures
     on stderr), write the trace CSV when --out is given, and return the exit
-    status."""
+    status. A run's misses are its iterations whose certified_eps exceeds
+    eps_k."""
     runs = run_configs(run_id, loss, penalty, x0, configs)
     for kind, rows, error in runs:
         if error is None:
-            print(f"{kind}: iters={rows[-1].k} objective={rows[-1].objective:.10g}")
+            misses = sum(r.k >= 1 and r.certified_eps > r.eps_k for r in rows)
+            print(f"{kind}: iters={rows[-1].k} objective={rows[-1].objective:.10g} misses={misses}")
         else:
             print(f"solver {kind} failed: {error}", file=sys.stderr)
     if args.out is not None:

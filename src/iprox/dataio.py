@@ -5,10 +5,20 @@ features, comma separated. Sign triplets: first line the user count, then
 whitespace-separated `i j s` per line with 0-based indices and s in {+1,-1}.
 Trace CSV: the exact header in TRACE_HEADER, floats written with 17
 significant digits so values round-trip losslessly.
+
+The regression CSV body and the sign triplets after line 1 are parsed by
+numpy's C reader (`np.loadtxt` on the open file, streamed line by line).
+Where it refuses a file (it raises or warns, a CSV body line gives no row,
+or the dataset rejects the arrays), a per-line Python loop reads the file
+again: it names the first faulty line, or loads what only Python's
+parsers accept (quoted CSV fields, `1_0`, non-ASCII digits), so every file
+loads to the same arrays either way. numpy's float parsing was checked
+bit-identical to float() on numpy 2.4.6 only.
 """
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,19 +55,61 @@ def write_regression_csv(path, dataset):
     return path
 
 
+def _read_regression_header(path, reader):
+    """Check the header row and return its width."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if not header or header[0] != "target":
+        raise ValueError(f"{path}: first column must be named 'target'")
+    if len(header) < 2:
+        raise ValueError(f"{path}: no feature columns")
+    return len(header)
+
+
+def _loadtxt(lines, **kwargs):
+    """Parse `lines` with numpy's C reader, or return None if it refuses them.
+
+    Warnings count as refusals: numpy warns, rather than raises, on input
+    with no data.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, comments=None, ndmin=2, **kwargs)
+    except (ValueError, Warning):
+        return None
+
+
 def load_regression_csv(path):
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        width = _read_regression_header(path, csv.reader(fh))
+        n_lines = 0
+
+        def body():
+            nonlocal n_lines
+            for line in fh:
+                n_lines += 1
+                yield line
+
+        table = _loadtxt(body(), delimiter=",")
+    # numpy skips blank lines, which the line loop rejects, so every line must give a row
+    if table is not None and table.shape == (n_lines, width):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[0] != "target":
-            raise ValueError(f"{path}: first column must be named 'target'")
-        width = len(header)
-        if width < 2:
-            raise ValueError(f"{path}: no feature columns")
+            return RegressionDataset(np.ascontiguousarray(table[:, 1:]), table[:, 0].copy())
+        except ValueError:
+            pass
+    return _load_regression_csv_by_line(path)
+
+
+def _load_regression_csv_by_line(path):
+    """The line loop: names the first faulty line, and accepts what Python's
+    csv and float() accept beyond numpy (quoted fields, `1_0`, non-ASCII digits)."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        width = _read_regression_header(path, reader)
         targets = []
         rows = []
         for lineno, row in enumerate(reader, start=2):
@@ -83,14 +135,34 @@ def write_sign_triplets(path, observed):
     return path
 
 
+def _read_user_count(path, fh):
+    try:
+        n_users = int(fh.readline().strip())
+    except ValueError:
+        raise ValueError(f"{path}: line 1: expected the user count") from None
+    if n_users < 1:
+        raise ValueError(f"{path}: line 1: the user count must be positive")
+    return n_users
+
+
 def load_sign_triplets(path):
     path = Path(path)
     with path.open() as fh:
-        first = fh.readline()
+        n_users = _read_user_count(path, fh)
+        table = _loadtxt(fh, dtype=np.int64)
+    if table is not None and table.shape[1] == 3:
         try:
-            n_users = int(first.strip())
+            return ObservedSignMatrix(n_users, *table.T)
         except ValueError:
-            raise ValueError(f"{path}: line 1: expected the user count") from None
+            pass
+    return _load_sign_triplets_by_line(path)
+
+
+def _load_sign_triplets_by_line(path):
+    """The line loop: names the first faulty line, and accepts what Python's
+    int() accepts beyond numpy (`1_0`, non-ASCII digits)."""
+    with path.open() as fh:
+        n_users = _read_user_count(path, fh)
         rows, cols, signs = [], [], []
         seen = {}
         for lineno, line in enumerate(fh, start=2):
@@ -105,6 +177,8 @@ def load_sign_triplets(path):
                 raise ValueError(f"{path}: line {lineno}: non-integer field") from None
             if s not in (1, -1):
                 raise ValueError(f"{path}: line {lineno}: sign must be +1 or -1")
+            if not (0 <= i < n_users and 0 <= j < n_users):
+                raise ValueError(f"{path}: line {lineno}: index outside [0, {n_users})")
             if (i, j) in seen:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate entry ({i}, {j}) first seen on line {seen[i, j]}"

@@ -56,8 +56,8 @@ class ObservedSignMatrix:
                 raise ValueError(f"{name} contains out-of-range indices")
         if not np.all(np.isin(self.signs, (-1.0, 1.0))):
             raise ValueError("signs must be +1 or -1")
-        flat = self.rows * self.n_users + self.cols
-        if np.unique(flat).size != flat.size:
+        flat = np.sort(self.rows * self.n_users + self.cols)
+        if np.any(flat[1:] == flat[:-1]):
             raise ValueError("duplicate (row, col) observation")
 
     @property

@@ -332,12 +332,25 @@ class TestCommandLine:
         for solver in dict.fromkeys(r.solver for r in rows):
             last = [r for r in rows if r.solver == solver][-1]
             if last.branch != "failed":
-                expected.append(f"{solver}: iters={last.k} objective={last.objective:.10g}")
+                misses = sum(r.k >= 1 and r.certified_eps > r.eps_k for r in rows if r.solver == solver)
+                expected.append(f"{solver}: iters={last.k} objective={last.objective:.10g} misses={misses}")
         assert printed.out.splitlines() == expected + [f"wrote {out}"]
         assert [line.split(" objective=")[0] for line in expected] == ["ipg: iters=8"]
         assert printed.err.splitlines() == [
             "solver pg failed: trace-lasso penalty has no exact prox; use an inexact solver kind"
         ]
+
+    def test_summary_counts_misses(self, tmp_path, capsys):
+        # a 5-iteration inner budget cannot meet eps_k from k = 13 on
+        out = tmp_path / "trace.csv"
+        code = main([
+            "bench", "robust_tracelasso", "--out", str(out), "--seed", "0", "--max-iters", "30",
+            "--inner-max-iters", "5", "--solver", "ipg",
+        ])
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith("ipg: iters=30 objective=") and summary.endswith(" misses=10")
+        assert sum(r.certified_eps > r.eps_k for r in load_trace_csv(out)) == 10
 
     def test_solver_failure_exits_nonzero(self, tmp_path):
         out = tmp_path / "trace.csv"

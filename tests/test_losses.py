@@ -251,6 +251,15 @@ class TestMaskedLogistic:
         with pytest.raises(ValueError):
             ObservedSignMatrix(4, [1], [2], [0.5])
 
+    def test_duplicate_check_sorts_without_np_unique(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique reached")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert ObservedSignMatrix(4, [1, 2, 1], [2, 1, 3], [1.0, -1.0, 1.0]).n_observed == 3
+        with pytest.raises(ValueError, match="duplicate"):
+            ObservedSignMatrix(4, [3, 1, 0, 1], [0, 2, 0, 2], [1.0, -1.0, 1.0, 1.0])
+
     def test_shape_mismatch(self):
         obs, _ = make_sign_matrix(4)
         with pytest.raises(ValueError):
