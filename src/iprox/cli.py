@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bench import APPLICATIONS, build_problem, generate, run_configs
+from .bench import APPLICATIONS, generate, run_configs, run_experiment
 from .dataio import (
     load_regression_csv,
     load_sign_triplets,
@@ -73,12 +73,7 @@ def _add_param_flags(parser):
 
 
 def _collect_params(args):
-    out = {}
-    for _, dest, _, _ in _PARAM_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            out[dest] = value
-    return out
+    return {dest: getattr(args, dest) for _, dest, _, _ in _PARAM_FLAGS if getattr(args, dest) is not None}
 
 
 def _add_solver_flags(parser):
@@ -109,28 +104,36 @@ def _build_configs(args):
     ]
 
 
-def _run_and_report(args, configs, run_id, loss, penalty, x0):
-    """Run the configs, print one line per run from its trace rows (failures
-    on stderr), write the trace CSV when --out is given, and return the exit
-    status. A run's misses are its iterations whose certified_eps exceeds
-    eps_k."""
-    runs = run_configs(run_id, loss, penalty, x0, configs)
+def _summary_line(kind, rows):
+    """One run's summary from its trace rows. inner is the run's total inner
+    prox work, seconds its last row's time, and misses its iterations whose
+    certified_eps exceeds eps_k."""
+    last = rows[-1]
+    inner = sum(r.inner_iters for r in rows)
+    misses = sum(r.k >= 1 and r.certified_eps > r.eps_k for r in rows)
+    return (
+        f"{kind}: iters={last.k} objective={last.objective:.10g} inner={inner} "
+        f"seconds={last.time_s:.3f} misses={misses}"
+    )
+
+
+def _report(runs, csv_path):
+    """Print each run's summary line (failures on stderr) and the trace CSV
+    path when one was written; return the exit status."""
     for kind, rows, error in runs:
         if error is None:
-            misses = sum(r.k >= 1 and r.certified_eps > r.eps_k for r in rows)
-            print(f"{kind}: iters={rows[-1].k} objective={rows[-1].objective:.10g} misses={misses}")
+            print(_summary_line(kind, rows))
         else:
             print(f"solver {kind} failed: {error}", file=sys.stderr)
-    if args.out is not None:
-        print(f"wrote {write_trace_csv(args.out, [row for _, rows, _ in runs for row in rows])}")
+    if csv_path is not None:
+        print(f"wrote {csv_path}")
     return 0 if all(error is None for _, _, error in runs) else 1
 
 
 def _cmd_bench(args):
     configs = _build_configs(args)  # before the generator meets a bad seed
-    problem = build_problem(args.application, args.seed, _collect_params(args), args.data)
-    run_id = f"{args.application}-s{args.seed}"
-    return _run_and_report(args, configs, run_id, problem.loss, problem.regularizer, problem.x0)
+    params = _collect_params(args)
+    return _report(*run_experiment(args.application, configs, args.out, args.seed, args.data, params))
 
 
 def _cmd_gen(args):
@@ -171,7 +174,10 @@ def _build_solve_problem(args):
 
 def _cmd_solve(args):
     run_id = f"solve-{args.loss}-{args.reg}-s{args.seed}"
-    return _run_and_report(args, _build_configs(args), run_id, *_build_solve_problem(args))
+    configs = _build_configs(args)
+    runs = run_configs(run_id, *_build_solve_problem(args), configs)
+    rows = [row for _, run_rows, _ in runs for row in run_rows]
+    return _report(runs, None if args.out is None else write_trace_csv(args.out, rows))
 
 
 def _build_parser():

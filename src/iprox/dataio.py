@@ -40,18 +40,26 @@ TRACE_HEADER = (
 )
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+# Values formatted per write: the writers fill one %-template per chunk of
+# rows, with neither a per-value Python loop nor a whole-file string.
+_CHUNK_VALUES = 1 << 11
+
+
+def _write_rows(fh, line, *columns):
+    """Write `line`, the %-template of one row, once per row of the columns
+    (equal-length 1-d arrays or 2-d blocks), a chunk of rows per write."""
+    step = max(1, _CHUNK_VALUES // line.count("%"))
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([column[start:start + step] for column in columns])
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_regression_csv(path, dataset):
     path = Path(path)
     n_features = dataset.design.shape[1]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target"] + [f"f{j}" for j in range(n_features)])
-        for target, row in zip(dataset.targets, dataset.design):
-            writer.writerow([_fmt(target)] + [_fmt(v) for v in row])
+        fh.write(",".join(["target"] + [f"f{j}" for j in range(n_features)]) + "\r\n")
+        _write_rows(fh, ",".join(["%.17g"] * (n_features + 1)) + "\r\n", dataset.targets, dataset.design)
     return path
 
 
@@ -130,8 +138,7 @@ def write_sign_triplets(path, observed):
     path = Path(path)
     with path.open("w") as fh:
         fh.write(f"{observed.n_users}\n")
-        for i, j, s in zip(observed.rows, observed.cols, observed.signs):
-            fh.write(f"{int(i)} {int(j)} {int(s):+d}\n")
+        _write_rows(fh, "%d %d %+d\n", observed.rows, observed.cols, observed.signs)
     return path
 
 

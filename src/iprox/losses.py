@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, spectral_norm_sq
+from .linalg import as_matrix, as_vector, is_int, spectral_norm_sq
 
 
 @dataclass(eq=False)
@@ -49,8 +49,8 @@ class ObservedSignMatrix:
         self.signs = np.asarray(self.signs, dtype=np.float64)
         if not (self.rows.shape == self.cols.shape == self.signs.shape) or self.rows.ndim != 1:
             raise ValueError("rows, cols and signs must be 1-d arrays of equal length")
-        if self.n_users < 1:
-            raise ValueError("n_users must be positive")
+        if not is_int(self.n_users) or self.n_users < 1:
+            raise ValueError(f"n_users must be a positive integer, got {self.n_users!r}")
         for idx, name in ((self.rows, "rows"), (self.cols, "cols")):
             if np.any(idx < 0) or np.any(idx >= self.n_users):
                 raise ValueError(f"{name} contains out-of-range indices")

@@ -332,8 +332,10 @@ class TestCommandLine:
         for solver in dict.fromkeys(r.solver for r in rows):
             last = [r for r in rows if r.solver == solver][-1]
             if last.branch != "failed":
+                inner = sum(r.inner_iters for r in rows if r.solver == solver)
                 misses = sum(r.k >= 1 and r.certified_eps > r.eps_k for r in rows if r.solver == solver)
-                expected.append(f"{solver}: iters={last.k} objective={last.objective:.10g} misses={misses}")
+                expected.append(f"{solver}: iters={last.k} objective={last.objective:.10g} inner={inner} "
+                                f"seconds={last.time_s:.3f} misses={misses}")
         assert printed.out.splitlines() == expected + [f"wrote {out}"]
         assert [line.split(" objective=")[0] for line in expected] == ["ipg: iters=8"]
         assert printed.err.splitlines() == [
@@ -351,6 +353,17 @@ class TestCommandLine:
         summary = capsys.readouterr().out.splitlines()[0]
         assert summary.startswith("ipg: iters=30 objective=") and summary.endswith(" misses=10")
         assert sum(r.certified_eps > r.eps_k for r in load_trace_csv(out)) == 10
+
+    def test_bench_compares_all_six_kinds(self, tmp_path, capsys):
+        out, kinds = tmp_path / "trace.csv", ["pg", "apg", "nmapg", "ipg", "aipg", "nmaipg"]
+        args = ["bench", "link_prediction", "--seed", "7", "--max-iters", "5", "--out", str(out)]
+        assert main([*args, *(flag for kind in kinds for flag in ("--solver", kind))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = [dict(field.split("=") for field in line.split()[1:]) for line in lines[:6]]
+        assert [line.split(":")[0] for line in lines[:6]] == kinds
+        assert [list(f) for f in fields] == [["iters", "objective", "inner", "seconds", "misses"]] * 6
+        assert [f["misses"] for f in fields] == ["0"] * 6  # early requests sit far above the rounding floor
+        assert lines[6:] == [f"wrote {out}"] and out.exists()
 
     def test_solver_failure_exits_nonzero(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -375,8 +388,10 @@ class TestCommandLine:
             "--out", str(solve_out), *flags,
         ]) == 0
         solve_lines = capsys.readouterr().out.splitlines()
-        assert bench_lines[:2] == solve_lines[:2]
-        assert [line.split(":")[0] for line in bench_lines[:2]] == ["pg", "aipg"]
+        def strip(lines):  # one summary line apart from the wall time
+            return [" ".join(f for f in line.split() if not f.startswith("seconds=")) for line in lines[:2]]
+        assert strip(bench_lines) == strip(solve_lines)
+        assert [line.split(" objective=")[0] for line in strip(bench_lines)] == ["pg: iters=12", "aipg: iters=12"]
 
         def numbers(path):
             return [dataclasses.replace(r, run_id="", time_s=0.0) for r in load_trace_csv(path)]

@@ -118,6 +118,22 @@ class TestRegressionCsv:
         monkeypatch.setattr(dataio, "_load_regression_csv_by_line", refuse)
         np.testing.assert_array_equal(load_regression_csv(path).design, dataset.design)
 
+    def test_golden_bytes(self, tmp_path):
+        big = 1.7976931348623157e308
+        dataset = RegressionDataset(np.array([[-0.0, 5e-324, big], [-big, 1 / 3, -2.5e-310]]), [1 / 3, -0.1])
+        path = write_regression_csv(tmp_path / "golden.csv", dataset)
+        assert path.read_bytes() == (
+            b"target,f0,f1,f2\r\n"
+            b"0.33333333333333331,-0,4.9406564584124654e-324,1.7976931348623157e+308\r\n"
+            b"-0.10000000000000001,-1.7976931348623157e+308,0.33333333333333331,-2.5000000000000171e-310\r\n"
+        )
+
+    def test_large_file_writes_each_value_at_17_digits(self, tmp_path):
+        dataset, _ = gen_grouped_regression(400, 60, 3, seed=3)  # more values than one chunk of the writer
+        path = write_regression_csv(tmp_path / "data.csv", dataset)
+        body = [",".join(f"{v:.17g}" for v in [t, *row]) for t, row in zip(dataset.targets, dataset.design)]
+        assert path.read_text().splitlines()[1:] == body
+
 
 class TestSignTriplets:
     def test_round_trip(self, tmp_path):
@@ -223,6 +239,17 @@ class TestSignTriplets:
 
         monkeypatch.setattr(dataio, "_load_sign_triplets_by_line", refuse)
         np.testing.assert_array_equal(load_sign_triplets(path).rows, obs.rows)
+
+    def test_golden_bytes(self, tmp_path):
+        obs = ObservedSignMatrix(12, [0, 11, 3], [11, 0, 3], [1.0, -1.0, -1.0])
+        path = write_sign_triplets(tmp_path / "golden.txt", obs)
+        assert path.read_bytes() == b"12\n0 11 +1\n11 0 -1\n3 3 -1\n"
+
+    def test_large_file_writes_one_line_per_observation(self, tmp_path):
+        obs, _ = gen_signed_lowrank(200, 2, 0.3, seed=4)  # more lines than one chunk of the writer
+        path = write_sign_triplets(tmp_path / "signs.txt", obs)
+        lines = [f"{i} {j} {int(s):+d}" for i, j, s in zip(obs.rows, obs.cols, obs.signs)]
+        assert path.read_text().splitlines() == ["200", *lines]
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,12 @@ class TestMaskedLogistic:
         with pytest.raises(ValueError):
             ObservedSignMatrix(4, [1], [2], [0.5])
 
+    @pytest.mark.parametrize("n_users", [3.0, 2.5])
+    def test_non_integer_user_count_rejected(self, n_users):
+        # a float count once passed here and broke the first eval's index arithmetic
+        with pytest.raises(ValueError, match=f"n_users must be a positive integer, got {n_users}"):
+            ObservedSignMatrix(n_users, [0, 1], [1, 2], [1.0, -1.0])
+
     def test_duplicate_check_sorts_without_np_unique(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.unique reached")

@@ -18,16 +18,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_compare_solvers_prints_its_table(tmp_path):
-    out = tmp_path / "trace.csv"
-    lines = run_script("compare_solvers.py", "--max-iters", "5", "--out", str(out))
-    assert lines[0].split() == ["solver", "iters", "objective", "inner", "misses", "seconds"]
-    rows = [line.split() for line in lines[1:7]]
-    assert [row[0] for row in rows] == ["pg", "apg", "nmapg", "ipg", "aipg", "nmaipg"]
-    assert [int(row[4]) for row in rows] == [0] * 6  # early requests sit far above the rounding floor
-    assert out.exists()
-
-
 def test_schedule_sweep_prints_its_table():
     lines = run_script("schedule_sweep.py", "--max-iters", "5", "--n", "40", "--d", "10")
     assert lines[0].startswith("exact accelerated baseline: objective")
