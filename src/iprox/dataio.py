@@ -18,6 +18,7 @@ bit-identical to float() on numpy 2.4.6 only.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,19 +225,45 @@ def trace_rows(run_id, solver, trace):
     ]
 
 
+class _QuotedFields(dict):
+    """Each string field as csv.writer writes it inside a row, computed once
+    per distinct string: csv.writer's own rule decides the quoting."""
+
+    def __missing__(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow((text, ""))
+        quoted = self[text] = buf.getvalue()[:-3]  # drop the empty field's "," and "\r\n"
+        return quoted
+
+
+# Rows formatted per write by write_trace_csv.
+_TRACE_CHUNK_ROWS = 1 << 10
+_TRACE_LINE = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\r\n"
+
+
 def write_trace_csv(path, rows):
+    """Write TraceRow records (any iterable) with the header TRACE_HEADER.
+
+    Each row fills one %-template, and the lines go out a chunk of rows per
+    write, so the file is never held in memory whole. The bytes are those of
+    csv.writer with each float as "%.17g" and each int as str().
+    """
     path = Path(path)
+    quoted = _QuotedFields()
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(
-            (
-                r.run_id, r.solver, str(r.k), "%.17g" % r.time_s, "%.17g" % r.objective,
-                "%.17g" % r.step_norm_sq, "%.17g" % r.eps_k, "%.17g" % r.certified_eps,
-                str(r.inner_iters), r.branch,
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        chunk = []
+        for r in rows:
+            chunk.append(
+                _TRACE_LINE % (
+                    quoted[r.run_id], quoted[r.solver], r.k, r.time_s, r.objective,
+                    r.step_norm_sq, r.eps_k, r.certified_eps, r.inner_iters, quoted[r.branch],
+                )
             )
-            for r in rows
-        )
+            if len(chunk) == _TRACE_CHUNK_ROWS:
+                fh.write("".join(chunk))
+                chunk.clear()
+        fh.write("".join(chunk))
     return path
 
 

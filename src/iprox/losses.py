@@ -92,12 +92,14 @@ class CorrentropyLoss:
 
     def eval(self, x):
         x = as_vector(x)
-        _check_dim(x, self.dataset.n_features)
-        res = self.dataset.targets - self.dataset.design @ x
+        design = self.dataset.design
+        _check_dim(x, design.shape[1])
+        res = self.dataset.targets - design @ x
         e = np.exp(-((res / self.sigma) ** 2))
-        value = 0.5 * self.sigma**2 * float((1.0 - e).sum())
-        grad = -(self.dataset.design.T @ (e * res))
-        return value, grad
+        value = 0.5 * self.sigma**2 * float(np.add.reduce(1.0 - e))
+        # negated last: with the sign folded into res, the zero entries of an
+        # all-zero design column would come out +0.0 rather than -0.0
+        return value, -(design.T @ (e * res))
 
     def lipschitz(self):
         return self._lipschitz
@@ -115,9 +117,10 @@ class SquareLoss:
 
     def eval(self, x):
         x = as_vector(x)
-        _check_dim(x, self.dataset.n_features)
-        res = self.dataset.design @ x - self.dataset.targets
-        return 0.5 * float(res @ res), self.dataset.design.T @ res
+        design = self.dataset.design
+        _check_dim(x, design.shape[1])
+        res = design @ x - self.dataset.targets
+        return 0.5 * float(res @ res), design.T @ res
 
     def lipschitz(self):
         return self._lipschitz

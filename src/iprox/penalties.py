@@ -4,7 +4,8 @@ Every penalty exposes value(x); the convex ones also expose subgradient(x)
 and carry is_convex = True so sampling-based subgradient checks know they
 apply. value checks its input; the L1, OSCAR and trace-lasso penalties
 also have _value, the same number without the check, which the solver
-loop calls on its prox outputs.
+loop calls on its OSCAR and trace-lasso prox outputs (its L1 prox site
+sums the magnitudes it has just thresholded).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class L1Penalty:
         return self._value(as_vector(x))
 
     def _value(self, x):
-        return self.lam * float(np.abs(x).sum())
+        return self.lam * float(np.add.reduce(np.abs(x)))
 
     def subgradient(self, x):
         return self.lam * np.sign(as_vector(x))
@@ -112,7 +113,7 @@ class TraceLassoPenalty:
         return self._value(x)
 
     def _value(self, x):
-        return self.lam * float(np.linalg.svd(self.factor * x, compute_uv=False).sum())
+        return self.lam * float(np.add.reduce(np.linalg.svd(self.factor * x, compute_uv=False)))
 
     def subgradient(self, x):
         """lam * diag(R^T U V^T) from the thin SVD of R @ Diag(x), keeping

@@ -15,7 +15,7 @@ from .linalg import as_matrix, as_vector, check_finite_nonneg, check_rank, is_in
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
-@dataclass
+@dataclass(slots=True)
 class ProxResult:
     point: np.ndarray
     certified_eps: float

@@ -28,7 +28,6 @@ from .prox import (
     ProxResult,
     _prox_l1,
     _prox_oscar_exact,
-    _sorted_weight_params,
     prox_rank,
     prox_tracelasso_inexact,
 )
@@ -190,14 +189,10 @@ class IterationTrace:
         return np.array(numbers, dtype=np.float64).tobytes(), tuple(r.branch for r in self.records)
 
 
-def _zero(x):
-    return 0.0
-
-
 def _make_prox(penalty, use_exact, config):
-    """Bind a penalty to (prox, value): prox is a callable
-    (anchor, gamma, eps_k, prev) -> ProxResult, value the penalty's value at
-    a prox output.
+    """Bind a penalty to its prox site: a callable
+    (anchor, gamma, eps_k, prev) -> (ProxResult, h), h the penalty's value at
+    the result's point.
 
     L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
     under every kind, with certified_eps 0 and no inner iterations: any
@@ -209,37 +204,53 @@ def _make_prox(penalty, use_exact, config):
     prox site, or None; they warm-start from its dual iterate (the subspace
     basis for the rank prox).
 
+    The L1 site takes h from the magnitudes mag = max(|a| - gamma lam, 0)
+    that soft thresholding builds: the point sign(a) * mag has |point| = mag
+    exactly, so h is bit-equal to the penalty's value there. The point is
+    not np.copysign(mag, a): at a = -0.0 that is -0.0, where
+    np.sign(a) * mag is +0.0.
+    The OSCAR and trace-lasso sites take the penalty's unchecked value core
+    at the point. Every rank-prox mode returns points of rank <= r by
+    construction, so the rank indicator's value there is 0 without the SVD
+    that RankConstraint.value runs.
+
     The L1 and OSCAR proxes and every value are the unchecked cores: the
     loop feeds them its own finite iterates, and a non-finite anchor passes
     through them to loss.eval's scan. The trace-lasso and rank proxes stay
     the public functions, whose input check is small against their inner
-    iterations. Every rank-prox mode returns points of rank <= r by
-    construction, so the rank indicator's value there is 0 without the SVD
-    that RankConstraint.value runs.
+    iterations.
     """
 
-    if isinstance(penalty, (L1Penalty, OscarPenalty)):
-        l1, l2 = _sorted_weight_params(penalty)
-        if l2 == 0.0:
-            def call(anchor, gamma, eps_k, prev):
-                return ProxResult(_prox_l1(anchor, gamma * l1), 0.0, 0)
-        else:
-            def call(anchor, gamma, eps_k, prev):
-                return ProxResult(_prox_oscar_exact(anchor, gamma, l1, l2), 0.0, 0)
+    if isinstance(penalty, L1Penalty):
+        lam = penalty.lam
 
-        return call, penalty._value
+        def call(anchor, gamma, eps_k, prev):
+            mag = np.maximum(np.abs(anchor) - gamma * lam, 0.0)
+            return ProxResult(np.sign(anchor) * mag, 0.0, 0), lam * float(np.add.reduce(mag))
+
+        return call
+
+    if isinstance(penalty, OscarPenalty):
+        l1, l2 = penalty.lambda1, penalty.lambda2
+
+        def call(anchor, gamma, eps_k, prev):
+            point = _prox_oscar_exact(anchor, gamma, l1, l2) if l2 else _prox_l1(anchor, gamma * l1)
+            return ProxResult(point, 0.0, 0), penalty._value(point)
+
+        return call
 
     if isinstance(penalty, TraceLassoPenalty):
         if use_exact:
             raise ValueError("trace-lasso penalty has no exact prox; use an inexact solver kind")
 
         def call(anchor, gamma, eps_k, prev):
-            return prox_tracelasso_inexact(
+            res = prox_tracelasso_inexact(
                 anchor, gamma, penalty, inner_budget=config.inner_max_iters,
                 eps_target=eps_k, w0=None if prev is None else prev.dual,
             )
+            return res, penalty._value(res.point)
 
-        return call, penalty._value
+        return call
 
     if isinstance(penalty, RankConstraint):
         mode = "exact" if use_exact else config.rank_mode
@@ -248,15 +259,15 @@ def _make_prox(penalty, use_exact, config):
             return prox_rank(
                 anchor, penalty.r, mode=mode, seed=config.seed, gamma=gamma, eps_target=eps_k,
                 v0=None if prev is None else prev.dual,
-            )
+            ), 0.0
 
-        return call, _zero
+        return call
 
     raise TypeError(f"no prox rule for {type(penalty).__name__}")
 
 
 def _sq_norm(a):
-    return float((a * a).sum())
+    return float(np.add.reduce(a * a, axis=None))
 
 
 def _resolve_gamma(loss, config):
@@ -269,15 +280,15 @@ def _resolve_gamma(loss, config):
     return gamma
 
 
-def _objective(loss, value, point, k, kind, records):
+def _objective(loss, h, point, k, kind, records):
     """Objective and loss gradient at a prox output, inside the loop.
 
-    value is the penalty-value core that _make_prox bound. loss.eval's
+    h is the penalty's value at point, from the prox site. loss.eval's
     finiteness scan of point guards the loop; a non-finite objective is
     caught behind it.
     """
     fval, grad = loss.eval(point)
-    fval += value(point)
+    fval += h
     _check_finite(fval, k, kind, records)
     return fval, grad
 
@@ -316,7 +327,7 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     exact = kind in EXACT_KINDS
     accelerated = kind not in ("pg", "ipg")
     nonmonotone = kind in ("nmapg", "nmaipg")
-    prox, value = _make_prox(penalty, exact, config)
+    prox = _make_prox(penalty, exact, config)
     f_cur, grad_cur = loss.eval(x_cur)
     f_cur += penalty.value(x_cur)  # x0 comes from outside: the public value checks it
     _check_finite(f_cur, 0, kind)
@@ -335,9 +346,9 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, momentum_next(t_cur)
             _, grad_y = loss.eval(y)
-            res_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
+            res_z, h_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
             z = res_z.point
-            f_z, grad_z = _objective(loss, value, z, k, kind, records)
+            f_z, grad_z = _objective(loss, h_z, z, k, kind, records)
             z_step_sq = _sq_norm(z - y)
             shortcut = nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq
 
@@ -345,8 +356,9 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         if shortcut:
             branch = "shortcut"
         else:  # the monitor step, which pg/ipg take alone
-            res_v = last_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
-            f_v, grad_v = _objective(loss, value, res_v.point, k, kind, records)
+            res_v, h_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
+            last_v = res_v
+            f_v, grad_v = _objective(loss, h_v, res_v.point, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:
                 branch = "prox"

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -323,6 +324,22 @@ def small_lasso_trace():
     return run_solver(loss, L1Penalty(0.05), np.zeros(6), config)
 
 
+def reference_write_trace_csv(path, rows):
+    """The trace writer by csv.writer, one formatted value at a time: the
+    byte reference of write_trace_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        writer.writerows(
+            (
+                r.run_id, r.solver, str(r.k), "%.17g" % r.time_s, "%.17g" % r.objective,
+                "%.17g" % r.step_norm_sq, "%.17g" % r.eps_k, "%.17g" % r.certified_eps,
+                str(r.inner_iters), r.branch,
+            )
+            for r in rows
+        )
+
+
 class TestTraceCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         trace = small_lasso_trace()
@@ -372,6 +389,37 @@ class TestTraceCsv:
             b'"lasso,s7",pg,1,1e-300,0.33333333333333331,2.5,0.01,4.9406564584124654e-324,12,prox\r\n'
             b'"say ""hi""",aipg,2,-0,nan,inf,1.0000000000000001e+300,123456789,0,failed\r\n'
         )
+
+    def test_large_file_matches_the_csv_writer_reference_byte_for_byte(self, tmp_path):
+        # more rows than three chunks of the writer, fed by a generator
+        n = 3 * dataio._TRACE_CHUNK_ROWS + 123
+        run_ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " lead", "100% %s %d", "é"]
+        floats = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, float("inf"), float("-inf"), float("nan"), 0.1 + 0.2]
+        rng = np.random.default_rng(3)
+        draws = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+        rows = [
+            TraceRow(
+                run_ids[i % len(run_ids)], ("pg", "aipg", "x,y")[i % 3],
+                np.int64(i) if i % 2 else i, *(floats[(i + j) % len(floats)] if i % 4 == 0 else draws[i, j]
+                                               for j in range(5)),
+                np.int32(i % 7) if i % 3 else i % 7, ("init", "prox", "z-accepted", 'q"b')[i % 4],
+            )
+            for i in range(n)
+        ]
+        sizes = []
+        path = tmp_path / "big.csv"
+
+        def generate():
+            for i, row in enumerate(rows):
+                if i == n - 1:  # the earlier chunks are on disk before the last row is read
+                    sizes.append(path.stat().st_size)
+                yield row
+
+        write_trace_csv(path, generate())
+        reference = tmp_path / "reference.csv"
+        reference_write_trace_csv(reference, rows)
+        assert path.read_bytes() == reference.read_bytes()
+        assert 0 < sizes[0] < path.stat().st_size
 
     def test_seventeen_digit_floats_survive(self, tmp_path):
         value = 0.1 + 0.2  # not representable as a short decimal

@@ -374,6 +374,64 @@ class TestSortedWeightRouting:
         assert np.array_equal(inexact.final_point, exact.final_point)
 
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestL1ProxSite:
+    """The L1 site returns soft thresholding's point and the penalty's value
+    there, the value taken from the magnitudes the threshold builds."""
+
+    @pytest.mark.parametrize("lam,gamma", [(0.3, 0.7), (0.0, 1.0), (1e-300, 1e-10)])
+    def test_point_and_value_are_bitwise_soft_thresholding_and_l1_value(self, lam, gamma):
+        t = gamma * lam  # (1e-300, 1e-10) makes the threshold itself subnormal
+        near = [np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
+        anchors = np.array(
+            [0.0, -0.0, t, -t, *near, *(-v for v in near), 5e-324, -5e-324, 1e-310, -2.5e-310,
+             1e300, -1e300, *np.random.default_rng(0).standard_normal(20)]
+        )
+        config = SolverConfig(max_iters=1, solver_kind="pg")
+        prox = solvers_mod._make_prox(L1Penalty(lam), True, config)
+        res, h = prox(anchors, gamma, 0.0, None)
+        want = np.sign(anchors) * np.maximum(np.abs(anchors) - t, 0.0)
+        assert res.point.tobytes() == want.tobytes()  # -0.0 in, +0.0 out
+        assert _bits(h) == _bits(L1Penalty(lam).value(res.point))
+        assert (res.certified_eps, res.inner_iters) == (0.0, 0)
+
+
+class TestRecordObjectives:
+    """Each record's objective, and each evaluated candidate's, is
+    loss.eval(x)[0] + penalty.value(x) at its point, bit for bit: the value
+    a prox site supplies is the penalty's own."""
+
+    SIZES = {
+        "lasso_baseline": {"n": 40, "d": 12, "sparsity": 4},
+        "robust_oscar": {"n": 40, "d": 12, "n_groups": 3},
+        "link_prediction": {"n_users": 20},
+        "robust_tracelasso": {"n": 30, "d": 6, "sparsity": 2},
+    }
+
+    @pytest.mark.parametrize("app", list(SIZES))
+    def test_objectives_are_the_public_values_at_the_points(self, app):
+        prob = build_problem(app, seed=0, params=self.SIZES[app])
+        # trace lasso has no exact prox
+        kinds = ("ipg", "aipg", "nmaipg") if app == "robust_tracelasso" else SOLVER_KINDS
+
+        def f(x):
+            return prob.loss.eval(x)[0] + prob.regularizer.value(x)
+
+        for kind in kinds:
+            config = SolverConfig(max_iters=25, solver_kind=kind)
+            trace = run_solver(prob.loss, prob.regularizer, prob.x0, config, keep_iterates=True)
+            assert len(trace.iterates) == len(trace.records) == 26
+            for rec, state in zip(trace.records, trace.iterates):
+                assert _bits(rec.objective) == _bits(f(state["x"])), (kind, rec.k)
+                if rec.z_objective is not None:
+                    assert _bits(rec.z_objective) == _bits(f(state["z"])), (kind, rec.k)
+                if rec.monitor_objective is not None and "v" in state:
+                    assert _bits(rec.monitor_objective) == _bits(f(state["v"])), (kind, rec.k)
+
+
 class CountingLoss:
     """Forwards to a loss and counts its eval calls."""
 
