@@ -3,6 +3,14 @@
 An inexact prox call returns a ProxResult whose certified_eps bounds the gap
 between the subproblem objective at the returned point and the subproblem
 minimum, so callers can trust Q(point) <= min Q + certified_eps.
+
+Each path has its own rounding policy. The residual-mode rank prox pads its
+certificate for rounding with delta (the rounding scale of the computed
+residual, traces and Ritz values) and rho (what rounding in the final
+product adds to the returned point's gap); see prox_rank. The power-mode
+gap top - ritz and the trace-lasso and inexact-OSCAR duality gaps are raw
+float64 differences, with no pad. The L1 and OSCAR proxes and the exact
+rank mode certify 0.
 """
 from __future__ import annotations
 

@@ -13,6 +13,18 @@ implementations.
 
 The loss is evaluated once per point: the gradient returned with an accepted
 point's objective is the one the next iteration steps from.
+
+At k = 1 the momentum point y_1 is x_0, and at k = 2, after the z-accept that
+k = 1 then forces, y_2 is x_1. There the z and v sites would solve the same
+subproblem from the same warm start, so the v site takes the z site's result
+and makes no prox call; the record's inner_iters counts that call once, and
+its monitor_inner_iters is 0. y is still evaluated at those iterations,
+although it equals x_k, so apg and aipg make three loss evaluations on every
+iteration (TestOracleCalls pins the counts).
+
+The loop's n x n arithmetic builds one fresh array per expression (_anchor,
+extrapolate, _sq_norm), bit-equal to the plain numpy expressions, and keeps
+no buffer across iterations.
 """
 from __future__ import annotations
 
@@ -108,12 +120,20 @@ def momentum_next(t):
 
 
 def extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur):
-    """Momentum point y_k combining the candidate and accepted sequences."""
-    return (
-        x_cur
-        + (t_prev / t_cur) * (z_cur - x_cur)
-        + ((t_prev - 1.0) / t_cur) * (x_cur - x_prev)
-    )
+    """Momentum point y_k combining the candidate and accepted sequences.
+
+    Bit-equal to x_cur + (t_prev / t_cur) * (z_cur - x_cur)
+    + ((t_prev - 1) / t_cur) * (x_cur - x_prev), summed left to right, but
+    built in one fresh array plus one scratch array: IEEE addition and
+    multiplication commute, so the in-place order rounds the same.
+    """
+    y = np.subtract(z_cur, x_cur)
+    y *= t_prev / t_cur
+    np.add(x_cur, y, out=y)
+    scratch = np.subtract(x_cur, x_prev)
+    scratch *= (t_prev - 1.0) / t_cur
+    y += scratch
+    return y
 
 
 @dataclass(frozen=True)
@@ -266,8 +286,17 @@ def _make_prox(penalty, use_exact, config):
     raise TypeError(f"no prox rule for {type(penalty).__name__}")
 
 
-def _sq_norm(a):
-    return float(np.add.reduce(a * a, axis=None))
+def _sq_norm(d):
+    """||d||^2, squaring d in place: callers pass a fresh difference."""
+    np.multiply(d, d, out=d)
+    return float(np.add.reduce(d, axis=None))
+
+
+def _anchor(x, grad, gamma):
+    """The prox anchor x - gamma * grad, bit for bit, in one fresh array."""
+    a = gamma * grad
+    np.subtract(x, a, out=a)
+    return a
 
 
 def _resolve_gamma(loss, config):
@@ -341,12 +370,15 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     prev_step_sq = 0.0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
-        shortcut = False
+        shortcut = shared = False
         if accelerated:
+            # y is x_k at k = 1 (x_prev is x_cur) and k = 2 (t_prev = 1) after a
+            # z-accept; with one previous result, both sites solve one subproblem
+            shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0) and res_z is last_v
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, momentum_next(t_cur)
             _, grad_y = loss.eval(y)
-            res_z, h_z = prox(y - gamma * grad_y, gamma, eps_k, res_z)
+            res_z, h_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
             z = res_z.point
             f_z, grad_z = _objective(loss, h_z, z, k, kind, records)
             z_step_sq = _sq_norm(z - y)
@@ -356,7 +388,10 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         if shortcut:
             branch = "shortcut"
         else:  # the monitor step, which pg/ipg take alone
-            res_v, h_v = prox(x_cur - gamma * grad_cur, gamma, eps_k, last_v)
+            if shared:
+                res_v, h_v = res_z, h_z
+            else:
+                res_v, h_v = prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, last_v)
             last_v = res_v
             f_v, grad_v = _objective(loss, h_v, res_v.point, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
@@ -371,16 +406,17 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             res, f_next, grad_next = res_z, f_z, grad_z
             step_sq = _sq_norm(z - x_cur)
         x_next = res.point
+        monitor_inner = res_v.inner_iters if res_v and not shared else 0  # a shared call counts once
         records.append(
             IterationRecord(
                 k, f_next, step_sq, eps_k, res.certified_eps,
-                (res_z.inner_iters if accelerated else 0) + (res_v.inner_iters if res_v else 0),
+                (res_z.inner_iters if accelerated else 0) + monitor_inner,
                 branch, time.perf_counter() - start,
                 (res_z.converged if accelerated else True) and (res_v.converged if res_v else True),
                 monitor_objective=f_v,
                 monitor_step_sq=v_step_sq,
                 monitor_eps=res_v.certified_eps if res_v else None,
-                monitor_inner_iters=res_v.inner_iters if res_v else 0,
+                monitor_inner_iters=monitor_inner,
                 z_objective=f_z,
                 z_step_sq=z_step_sq,
             )

@@ -652,8 +652,10 @@ class TestProxRankResidual:
 
     @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
     def test_only_the_first_call_of_each_prox_site_falls_back(self, kind, monkeypatch):
-        # the anchors of k = 1 have a flat spectrum; from k = 2 on, the
-        # Frobenius bound on the complement block separates every call
+        # the anchor of k = 1 has a flat spectrum; from k = 2 on, the
+        # Frobenius bound on the complement block separates every call. Every
+        # kind makes one call at k = 1: the accelerated kinds' v site shares
+        # the z site's, since y_1 = x_0
         prob = build_problem("link_prediction", seed=7, params={"n_users": 200})
         config = SolverConfig(max_iters=30, solver_kind=kind, seed=7)
         targets, fell_back = [], []
@@ -672,8 +674,8 @@ class TestProxRankResidual:
         trace = run_solver(prob.loss, prob.regularizer, prob.x0, config)
         assert len(trace.records) == 31
         first = schedule_eps(config.error_schedule, 1)
-        assert fell_back == [t for t in targets if t == first]
-        assert len(fell_back) == (1 if kind == "ipg" else 2)
+        assert targets.count(first) == 1
+        assert fell_back == [first]
 
     def test_fallback_certifies_the_first_link_prediction_call(self):
         # the gradient at 0 is a flat-spectrum sign pattern: no sweep separates

@@ -84,6 +84,58 @@ class TestExtrapolation:
         np.testing.assert_allclose(extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur), expected)
 
 
+def _with_signed_zeros(shape, seed):
+    """Random normals with +0.0, -0.0, subnormal and huge entries mixed in."""
+    a = np.random.default_rng(seed).standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[::7], flat[3::7], flat[5::13], flat[6::17] = 0.0, -0.0, -5e-324, 1e300
+    return a
+
+
+class TestInPlaceArithmetic:
+    """The loop's n x n helpers round exactly as the plain expressions do,
+    and write only into arrays they make (and _sq_norm's own argument)."""
+
+    SHAPES = [(200, 200), (37,), (5, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sq_norm_is_the_reduced_square(self, shape):
+        d = _with_signed_zeros(shape, 1) - _with_signed_zeros(shape, 2)
+        want = float(np.add.reduce(d * d, axis=None))
+        assert _bits(solvers_mod._sq_norm(d)) == _bits(want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("gamma", [0.37, 1.0, 1e-310])
+    def test_anchor_is_the_gradient_step(self, shape, gamma):
+        x, g = _with_signed_zeros(shape, 3), _with_signed_zeros(shape, 4)
+        g.reshape(-1)[1::9] = -0.0
+        x_bytes, g_bytes = x.tobytes(), g.tobytes()
+        a = solvers_mod._anchor(x, g, gamma)
+        assert a.tobytes() == (x - gamma * g).tobytes()
+        assert x.tobytes() == x_bytes and g.tobytes() == g_bytes
+        assert not np.shares_memory(a, x) and not np.shares_memory(a, g)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize(
+        "t_prev,aliases",  # k = 1 and 2 alias their inputs as the loop does
+        [(0.0, "all-x"), (1.0, "z-is-x"), (0.0, "none"), (1.0, "none"), (7.3, "none")],
+    )
+    def test_extrapolate_is_the_three_term_sum(self, shape, t_prev, aliases):
+        x_cur, x_prev, z = (_with_signed_zeros(shape, s) for s in (5, 6, 7))
+        if aliases != "none":
+            z = x_cur
+        if aliases == "all-x":
+            x_prev = x_cur
+        t_cur = momentum_next(t_prev)
+        inputs = [(v, v.tobytes()) for v in (x_cur, x_prev, z)]
+        y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
+        want = x_cur + (t_prev / t_cur) * (z - x_cur) + ((t_prev - 1.0) / t_cur) * (x_cur - x_prev)
+        assert y.tobytes() == want.tobytes()
+        for v, before in inputs:
+            assert v.tobytes() == before
+            assert not np.shares_memory(y, v)
+
+
 class TestSchedules:
     def test_polynomial_values(self):
         s = ErrorSchedule.polynomial(1.0, 2.0)
@@ -695,13 +747,90 @@ class TestRankPowerRuns:
         assert 2 <= len(monitored) < len(branches)
         last = {"z": None, "v": None}
         calls = iter(calls)
-        for branch in branches:
-            for site in ("z",) if branch == "shortcut" else ("z", "v"):
+        shared = []
+        for k, branch in enumerate(branches, 1):
+            # y_k is x_k at k = 1, and at k = 2 after k = 1's shared call; there
+            # the v site makes no call and takes the z site's result as its own
+            sites = ("z",) if branch == "shortcut" or k <= 2 else ("z", "v")
+            for site in sites:
                 v0, res = next(calls)
                 expected = None if last[site] is None else last[site].dual
                 assert v0 is expected
                 last[site] = res
+            if branch != "shortcut" and k <= 2:
+                shared.append(k)
+                last["v"] = last["z"]
+        assert shared == [1, 2]
         assert next(calls, None) is None
+
+    @pytest.mark.parametrize("kind", ["apg", "aipg"])
+    def test_one_prox_call_serves_both_sites_at_k_1_and_2(self, kind, monkeypatch):
+        # y_1 = x_0, and y_2 = x_1 after the z-accept that a shared k = 1 forces
+        prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+        calls = []
+        real = solvers_mod.prox_rank
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs["v0"], res))
+            return res
+
+        monkeypatch.setattr(solvers_mod, "prox_rank", recording)
+        iters = 12
+        trace = run_solver(
+            prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=iters, solver_kind=kind),
+        )
+        assert len(calls) == 2 * iters - 2
+        made = [calls[:1], calls[1:2]] + [calls[i : i + 2] for i in range(2, len(calls), 2)]
+        records = trace.records[1:]
+        for rec, ran in zip(records, made):
+            assert rec.inner_iters == sum(res.inner_iters for _, res in ran)
+        for rec, [(_, res)] in zip(records[:2], made[:2]):
+            # the monitor candidate is the z candidate: res_v is res_z
+            assert rec.branch == "z-accepted"
+            assert rec.monitor_eps == rec.certified_eps == res.certified_eps
+            assert rec.monitor_objective == rec.z_objective
+            assert rec.monitor_step_sq == rec.z_step_sq == rec.step_norm_sq
+            assert rec.monitor_inner_iters == 0
+        shared = calls[1][1]
+        assert calls[1][0] is calls[0][1].dual
+        # both sites warm-start k = 3 from the shared k = 2 result
+        assert calls[2][0] is shared.dual and calls[3][0] is shared.dual
+        if kind == "aipg":
+            assert shared.dual is not None and records[0].inner_iters > 0
+
+    def test_sites_holding_different_previous_results_do_not_share(self, monkeypatch):
+        # a shortcut at k = 1 leaves the v site without a previous result, so
+        # at k = 2, where y_2 = x_1 again, the v site makes its own cold call
+        prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
+        calls = []
+        real = solvers_mod.prox_rank
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs["v0"], res))
+            return res
+
+        class ScriptedValues:  # z's value forces the shortcut at k = 1 and rejects z at k = 2
+            def __init__(self, loss):
+                self.loss, self.calls = loss, 0
+
+            def lipschitz(self):
+                return self.loss.lipschitz()
+
+            def eval(self, x):
+                value, grad = self.loss.eval(x)
+                self.calls += 1
+                return {3: -1e9, 5: 1e9}.get(self.calls, value), grad
+
+        monkeypatch.setattr(solvers_mod, "prox_rank", recording)
+        trace = run_solver(
+            ScriptedValues(prob.loss), prob.regularizer, prob.x0,
+            SolverConfig(max_iters=2, solver_kind="nmaipg"),
+        )
+        assert [r.branch for r in trace.records[1:]] == ["shortcut", "v-accepted"]
+        assert len(calls) == 3
+        assert calls[0][0] is None and calls[1][0] is calls[0][1].dual and calls[2][0] is None
 
     @pytest.mark.parametrize("kind,twin", [("ipg", "pg"), ("aipg", "apg"), ("nmaipg", "nmapg")])
     def test_bench_size_run_tracks_exact_twin_and_meets_every_request(self, kind, twin, monkeypatch):
