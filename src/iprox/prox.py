@@ -8,9 +8,10 @@ Each path has its own rounding policy. The residual-mode rank prox pads its
 certificate for rounding with delta (the rounding scale of the computed
 residual, traces and Ritz values) and rho (what rounding in the final
 product adds to the returned point's gap); see prox_rank. The power-mode
-gap top - ritz and the trace-lasso and inexact-OSCAR duality gaps are raw
-float64 differences, with no pad. The L1 and OSCAR proxes and the exact
-rank mode certify 0.
+gap top - ritz, the trace-lasso duality gap and the duality gap that
+prox_oscar_inexact reports for the exact OSCAR pool are raw float64
+differences, with no pad. The L1 and OSCAR proxes and the exact rank mode
+certify 0.
 """
 from __future__ import annotations
 
@@ -237,27 +238,14 @@ def oscar_dual_gap(x, subproblem):
     return max(subproblem.objective(x) - dual, 0.0)
 
 
-def prox_oscar_inexact(
-    y, gamma, lambda1, lambda2, eps_target, step=None, max_inner=20_000, x0=None
-):
-    """Subgradient descent on the prox subproblem, stopped by the duality gap.
+def prox_oscar_inexact(y, gamma, lambda1, lambda2, eps_target):
+    """The exact pooling prox, certified by its own duality gap.
 
-    The step combines the diminishing schedule step0/sqrt(t+1) with a
-    Polyak-style step computed from a dual lower bound; the latter is what
-    lets the gap reach tolerances like 1e-8 near kinks of the penalty, where
-    a plain diminishing schedule stalls. The bound is the value at the dual
-    point induced by the subproblem's pooling solution (one sort-and-pool
-    solve at call start), which makes the certified gap the true primal gap
-    of the iterate up to rounding. Returns the best-gap iterate.
-
-    When the subgradient loop cannot certify eps_target (budget exhausted,
-    or the best gap improves by under 5 percent across a 250 iteration
-    window), the call degrades to the pooling solution itself, whose
-    certificate is its own rounding-level duality gap; the minimizer is an
-    eps-accurate point for every eps, so this keeps the contract while never
-    letting the achieved inexactness drift above the request. Targets below
-    the pooling solution's own certificate are unreachable in principle and
-    return immediately with converged=False and zero iterations.
+    Returns the point of prox_oscar_exact (one sort-and-pool solve) with
+    certified_eps the subproblem's primal value there minus the dual value at
+    beta = (point - y) / gamma, floored at 0. That gap is a raw float64
+    difference at rounding level, so the call meets every eps_target at or
+    above it and reports converged=False for a target below it.
     """
     y = as_vector(y)
     if not gamma > 0:
@@ -268,64 +256,14 @@ def prox_oscar_inexact(
         raise ValueError("eps_target must be non-negative")
     if lambda1 == 0 and lambda2 == 0:
         raise ValueError("use the exact identity prox when both weights are zero")
-    step0 = gamma if step is None else float(step)
-    if not step0 > 0:
-        raise ValueError("step must be positive")
 
-    inv_gamma = 1.0 / gamma
-    n = y.shape[0]
-    lam2_ladder = lambda2 * np.arange(n, dtype=np.float64)
-
-    def value_and_subgrad(v):
-        a = np.abs(v)
-        ranks = np.empty(n, dtype=np.intp)
-        ranks[np.argsort(a, kind="stable")] = np.arange(n)
-        w = lambda1 + lam2_ladder[ranks]
-        return float(w @ a), w * np.sign(v)
-
-    def q_value_grad(v):
-        d = v - y
-        h, sub = value_and_subgrad(v)
-        return 0.5 * inv_gamma * float(d @ d) + h, d * inv_gamma + sub
-
-    pool = prox_oscar_exact(y, gamma, lambda1, lambda2)
-    beta = (pool - y) / gamma
-    best_dual = -0.5 * gamma * float(beta @ beta) - float(beta @ y)
-    pool_q, _ = q_value_grad(pool)
-    pool_cert = max(pool_q - best_dual, 0.0)
-    if eps_target < pool_cert:
-        return ProxResult(pool, pool_cert, 0, [pool_cert], converged=False)
-
-    x = y.copy() if x0 is None else as_vector(np.array(x0, dtype=np.float64, copy=True))
-    qx, grad = q_value_grad(x)
-    gap = max(qx - best_dual, 0.0)
-    best_gap, best_x, best_q = gap, x.copy(), qx
-    history = [gap]
-    t = 0
-    window, window_gap = 250, best_gap
-    while best_gap > eps_target and t < max_inner:
-        qn2 = float(grad @ grad)
-        if qn2 == 0.0:
-            break
-        cap = step0 / math.sqrt(t + 1.0)
-        polyak = (qx - best_dual) / qn2
-        s = min(polyak, cap) if polyak > 0 else cap
-        x = x - s * grad
-        t += 1
-        qx, grad = q_value_grad(x)
-        gap = max(qx - best_dual, 0.0)
-        history.append(gap)
-        if gap < best_gap:
-            best_gap, best_x, best_q = gap, x.copy(), qx
-        if t % window == 0:
-            if best_gap > 0.95 * window_gap:
-                break
-            window_gap = best_gap
-    if best_gap > eps_target:
-        history.append(pool_cert)
-        return ProxResult(pool, pool_cert, t, history, converged=True)
-    certified = max(best_q - best_dual, 0.0)
-    return ProxResult(best_x, certified, t, history, converged=certified <= eps_target)
+    pool = _prox_oscar_exact(y, gamma, lambda1, lambda2)
+    d = pool - y
+    beta = d / gamma
+    dual = -0.5 * gamma * float(beta @ beta) - float(beta @ y)
+    primal = 0.5 * (1.0 / gamma) * float(d @ d) + OscarPenalty(lambda1, lambda2)._value(pool)
+    cert = max(primal - dual, 0.0)
+    return ProxResult(pool, cert, 0, [cert], converged=cert <= eps_target)
 
 
 def _top_eigensum(gram, r):

@@ -108,7 +108,10 @@ def schedule_eps(schedule, k, prev_step_sq=0.0):
     if schedule.kind == "constant":
         return schedule.c
     if schedule.kind == "polynomial":
-        return schedule.c / float(k) ** schedule.p
+        try:
+            return schedule.c / float(k) ** schedule.p
+        except OverflowError:  # k**p passed the largest float: divide in logs
+            return math.exp(math.log(schedule.c) - schedule.p * math.log(k)) if schedule.c else 0.0
     return max(schedule.alpha * prev_step_sq, schedule.floor)
 
 

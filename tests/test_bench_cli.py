@@ -296,6 +296,13 @@ class TestCommandLine:
         assert {r.solver for r in rows} == {"ipg", "aipg"}
         assert "wrote" in capsys.readouterr().out
 
+    def test_polynomial_schedule_past_float_range_runs(self, tmp_path, capsys):
+        # eps_k = 1e-2 / k**400 overflows k**400 at k = 6
+        out = tmp_path / "t.csv"
+        code = main(["bench", "lasso_baseline", "--eps", "poly:1e-2,400", "--max-iters", "10", "--out", str(out)])
+        assert code == 0
+        assert max(r.k for r in load_trace_csv(out)) == 10
+
     def test_gen_then_solve_round_trip(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert main(["gen", "lasso_baseline", "--out", str(data), "--n", "40", "--d", "8"]) == 0

@@ -15,7 +15,7 @@ from iprox.losses import (
     SquareLoss,
 )
 from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
-from iprox.prox import prox_l1, prox_oscar_exact, prox_rank, prox_tracelasso_inexact
+from iprox.prox import prox_l1, prox_oscar_exact, prox_oscar_inexact, prox_rank, prox_tracelasso_inexact
 
 DESIGN = np.arange(12.0).reshape(4, 3) / 10.0 + np.eye(4, 3)
 DATASET = RegressionDataset(DESIGN, np.ones(4))
@@ -25,6 +25,7 @@ TRACE_LASSO = TraceLassoPenalty(0.1, DESIGN)
 VECTOR_CALLS = {
     "prox_l1": lambda x: prox_l1(x, 0.1),
     "prox_oscar_exact": lambda x: prox_oscar_exact(x, 0.5, 0.1, 0.1),
+    "prox_oscar_inexact": lambda x: prox_oscar_inexact(x, 0.5, 0.1, 0.1, 1e-6),
     "prox_tracelasso_inexact": lambda x: prox_tracelasso_inexact(x, 0.5, TRACE_LASSO),
     "SquareLoss.eval": SquareLoss(DATASET).eval,
     "CorrentropyLoss.eval": CorrentropyLoss(DATASET).eval,

@@ -106,7 +106,6 @@ class TestProxL1:
         lambda y: prox_oscar_exact(y, math.nan, 0.1, 0.1),
         lambda y: prox_oscar_inexact(y, math.nan, 0.1, 0.1, 1e-6),
         lambda y: prox_oscar_inexact(y, 1.0, 0.1, 0.1, math.nan),
-        lambda y: prox_oscar_inexact(y, 1.0, 0.1, 0.1, 1e-6, step=math.nan),
         lambda y: prox_tracelasso_inexact(y, math.nan, TraceLassoPenalty(0.1, np.eye(3))),
         lambda y: prox_rank(np.outer(y, y), 1, mode="power", gamma=math.nan),
         lambda y: prox_rank(np.outer(y, y), 1, mode="residual", gamma=math.nan),
@@ -117,7 +116,7 @@ class TestProxL1:
     ],
     ids=[
         "l1-threshold", "oscar-lambda1", "oscar-lambda2", "oscar-gamma", "oscar-inexact-gamma",
-        "oscar-inexact-eps", "oscar-inexact-step", "tracelasso-gamma", "rank-gamma",
+        "oscar-inexact-eps", "tracelasso-gamma", "rank-gamma",
         "rank-residual-gamma", "rank-power-iters", "tracelasso-inner-budget",
         "oscar-lambda1-inf", "oscar-lambda2-inf",
     ],
@@ -386,7 +385,7 @@ class TestProxOscarInexact:
             y = 2.0 * rng.standard_normal(n)
             gamma = rng.uniform(0.3, 1.2)
             l1, l2 = rng.uniform(0.05, 0.6, size=2)
-            res = prox_oscar_inexact(y, gamma, l1, l2, eps_target=1e-9, max_inner=3000)
+            res = prox_oscar_inexact(y, gamma, l1, l2, eps_target=1e-9)
             q_in = oscar_q(res.point, y, gamma, l1, l2)
             q_ex = oscar_q(prox_oscar_exact(y, gamma, l1, l2), y, gamma, l1, l2)
             assert q_in <= q_ex + res.certified_eps + 1e-12
@@ -396,19 +395,19 @@ class TestProxOscarInexact:
     def test_gap_reaches_kink_instances(self):
         # solutions with exact ties and zeros still certify to 1e-8
         y = np.array([1.5, 1.4, 0.05, -0.02])
-        res = prox_oscar_inexact(y, 1.0, 0.1, 0.3, eps_target=1e-8, max_inner=10_000)
+        res = prox_oscar_inexact(y, 1.0, 0.1, 0.3, eps_target=1e-8)
         assert res.converged, f"gap stalled at {res.certified_eps}"
 
     def test_budget_exhaustion_falls_back_to_pooling(self):
-        # tie-forming instance: one subgradient step cannot certify 1e-12,
-        # so the call degrades to the pooling solution with its own gap
+        # tie-forming instance: the call returns the pooling solution itself,
+        # bit for bit, with no inner iterations and its own gap
         y = np.array([1.5, 1.4, -1.45])
         exact = prox_oscar_exact(y, 1.0, 0.1, 0.5)
-        res = prox_oscar_inexact(y, 1.0, 0.1, 0.5, eps_target=1e-12, max_inner=1)
+        res = prox_oscar_inexact(y, 1.0, 0.1, 0.5, eps_target=1e-12)
         assert res.converged
-        assert res.inner_iters == 1
+        assert res.inner_iters == 0
         assert res.certified_eps <= 1e-12
-        np.testing.assert_array_equal(res.point, exact)
+        assert res.point.tobytes() == exact.tobytes()
 
     def test_unreachable_target_returns_immediately(self):
         # a target below the pooling solution's own rounding-level gap is
@@ -419,29 +418,40 @@ class TestProxOscarInexact:
         for _ in range(6):
             y = rng.standard_normal(5) * 2
             gamma = rng.uniform(0.3, 1.2)
-            res = prox_oscar_inexact(y, gamma, 0.15, 0.08, eps_target=0.0, max_inner=10)
+            res = prox_oscar_inexact(y, gamma, 0.15, 0.08, eps_target=0.0)
             assert res.certified_eps <= 1e-12
             if not res.converged:
                 assert res.inner_iters == 0
                 seen_unreachable = True
         assert seen_unreachable
 
-    def test_moderate_target_keeps_genuine_iterate(self):
-        # reachable targets are met by the subgradient iterate itself, not
-        # by the pooling fallback
-        y = np.array([1.5, 1.4, 0.05, -0.02])
-        res = prox_oscar_inexact(y, 1.0, 0.1, 0.3, eps_target=1e-3)
-        exact = prox_oscar_exact(y, 1.0, 0.1, 0.3)
-        assert res.converged
-        assert 0.0 < res.certified_eps <= 1e-3
-        assert not np.allclose(res.point, exact, atol=1e-9)
-
-    def test_warm_start_used(self):
-        y = np.array([1.2, -0.9, 0.4, 0.0, 2.2])
-        exact = prox_oscar_exact(y, 0.9, 0.2, 0.1)
-        res = prox_oscar_inexact(y, 0.9, 0.2, 0.1, eps_target=1e-10, x0=exact)
-        assert res.inner_iters <= 1
-        assert res.certified_eps <= 1e-10
+    @pytest.mark.parametrize("eps_target", [0.0, 1e-12, 1e-3])
+    def test_pool_certified_by_its_duality_gap(self, eps_target):
+        # draws with ties, zeros and -0.0: the point is the exact prox's bytes,
+        # and the certificate is the pool's primal value minus the dual value
+        # at beta = (pool - y) / gamma, floored at 0
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            y = rng.choice([0.0, -0.0, 0.4, -0.4, 1.1, -1.1], size=n)
+            y[rng.random(n) < 0.4] = rng.standard_normal()
+            gamma = float(rng.uniform(0.2, 1.5))
+            l1, l2 = (float(v) for v in rng.uniform(0.01, 0.6, size=2))
+            res = prox_oscar_inexact(y, gamma, l1, l2, eps_target)
+            pool = prox_oscar_exact(y, gamma, l1, l2)
+            assert res.point.tobytes() == pool.tobytes()
+            assert res.inner_iters == 0
+            a = np.abs(pool)
+            ranks = np.empty(n, dtype=np.intp)
+            ranks[np.argsort(a, kind="stable")] = np.arange(n)
+            penalty = float((l1 + l2 * np.arange(n, dtype=np.float64)[ranks]) @ a)
+            d = pool - y
+            beta = d / gamma
+            dual = -0.5 * gamma * float(beta @ beta) - float(beta @ y)
+            gap = max(0.5 * (1.0 / gamma) * float(d @ d) + penalty - dual, 0.0)
+            assert res.certified_eps == gap
+            assert res.gap_history == [res.certified_eps]
+            assert res.converged == (res.certified_eps <= eps_target)
 
     def test_deterministic(self):
         y = np.array([0.3, -2.0, 1.1])

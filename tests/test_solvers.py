@@ -165,6 +165,16 @@ class TestSchedules:
         # alpha = 0 is a legal degenerate schedule: always the floor
         assert schedule_eps(ErrorSchedule.adaptive(0.0), 3, 5.0) == 1e-12
 
+    def test_polynomial_past_float_range_underflows_to_zero(self):
+        # 10**400 overflows a float; c / k**p is then below the smallest subnormal
+        s = ErrorSchedule.polynomial(1e-2, 400.0)
+        assert schedule_eps(s, 10) == 0.0
+        assert schedule_eps(s, 5) == 1e-2 / 5.0**400.0  # 5**400 fits: the same bits as before
+
+    def test_polynomial_past_float_range_divides_in_logs(self):
+        # 100**155 = 1e310 overflows, but c / k**p = 1e300 / 1e310 does not
+        assert schedule_eps(ErrorSchedule.polynomial(1e300, 155.0), 100) == pytest.approx(1e-10, rel=1e-12)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "make",
