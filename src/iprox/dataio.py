@@ -200,7 +200,7 @@ def _load_sign_triplets_by_line(path):
     return ObservedSignMatrix(n_users, np.array(rows), np.array(cols), np.array(signs))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRow:
     run_id: str
     solver: str

@@ -8,8 +8,8 @@ Each path has its own rounding policy. The residual-mode rank prox pads its
 certificate for rounding with delta (the rounding scale of the computed
 residual, traces and Ritz values) and rho (what rounding in the final
 product adds to the returned point's gap); see prox_rank. The power-mode
-gap top - ritz, the trace-lasso duality gap and the duality gap that
-prox_oscar_inexact reports for the exact OSCAR pool are raw float64
+gap top - ritz, the trace-lasso duality gap and oscar_dual_gap (which
+prox_oscar_inexact reports for the exact OSCAR pool) are raw float64
 differences, with no pad. The L1 and OSCAR proxes and the exact rank mode
 certify 0.
 """
@@ -187,82 +187,40 @@ def _sorted_weight_params(regularizer):
     raise TypeError(f"no sorted-weight form for {type(regularizer).__name__}")
 
 
-def oscar_dual_gauge(xi, lambda1, lambda2):
-    """Gauge of the penalty's dual unit ball.
-
-    max over j of (sum of the j largest |xi|) / (sum of the j largest
-    coordinate weights). Values <= 1 mean xi is dual feasible.
-    """
-    xi = as_vector(xi)
-    n = xi.shape[0]
-    s = np.sort(np.abs(xi))[::-1]
-    w = lambda1 + lambda2 * np.arange(n - 1, -1, -1)
-    num = np.cumsum(s)
-    den = np.cumsum(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.where(num > 0, np.inf, 0.0))
-    return float(np.max(ratios))
-
-
-def _oscar_dual_value(x, anchor, gamma, lambda1, lambda2):
-    """Best dual objective value recoverable from the iterate x.
-
-    Any dual-feasible point lower-bounds the subproblem minimum, so this is
-    the certification side of the duality gap. Two feasible candidates are
-    built from xi = (x - anchor) / gamma and the better value wins: xi scaled
-    into the dual ball by its gauge, and the exact Euclidean projection of xi
-    onto the ball (computed as xi minus the unit-stepsize penalty prox). Near
-    the solution the projection is tangent to the ball where the scaled point
-    loses first-order value along the constraint normal, so only the
-    projected candidate lets the gap certify tolerances near machine level.
-    """
-    xi = (x - anchor) / gamma
-
-    def value(beta):
-        gauge = oscar_dual_gauge(beta, lambda1, lambda2)
-        if gauge > 1.0:
-            beta = beta / gauge
-        return -0.5 * gamma * float(beta @ beta) - float(beta @ anchor)
-
-    projected = xi - prox_oscar_exact(xi, 1.0, lambda1, lambda2)
-    return max(value(xi), value(projected))
-
-
 def oscar_dual_gap(x, subproblem):
-    """Duality gap of the pairwise-max prox subproblem at x; zero at the optimum."""
+    """Duality gap of the pairwise-max prox subproblem at x; zero at the optimum.
+
+    The dual point is the Euclidean projection of xi = (x - anchor) / gamma
+    onto the penalty's dual ball, xi minus the unit-stepsize penalty prox
+    (Moreau): one more sort and pool. It is feasible up to rounding whatever
+    x is, so the gap bounds Q(x) - min Q everywhere.
+    """
     x = as_vector(x)
     lambda1, lambda2 = _sorted_weight_params(subproblem.regularizer)
     if lambda1 == 0 and lambda2 == 0:
         raise ValueError("dual gap undefined when both penalty weights are zero")
-    dual = _oscar_dual_value(x, subproblem.anchor, subproblem.gamma, lambda1, lambda2)
+    anchor, gamma = subproblem.anchor, subproblem.gamma
+    xi = (x - anchor) / gamma
+    beta = xi - prox_oscar_exact(xi, 1.0, lambda1, lambda2)  # checked: a non-finite anchor raises
+    dual = -0.5 * gamma * float(beta @ beta) - float(beta @ anchor)
     return max(subproblem.objective(x) - dual, 0.0)
 
 
 def prox_oscar_inexact(y, gamma, lambda1, lambda2, eps_target):
-    """The exact pooling prox, certified by its own duality gap.
+    """The exact pooling prox, certified by its oscar_dual_gap.
 
     Returns the point of prox_oscar_exact (one sort-and-pool solve) with
-    certified_eps the subproblem's primal value there minus the dual value at
-    beta = (point - y) / gamma, floored at 0. That gap is a raw float64
-    difference at rounding level, so the call meets every eps_target at or
-    above it and reports converged=False for a target below it.
+    certified_eps its oscar_dual_gap (a second sort and pool, for the dual
+    point). That gap is a raw float64 difference at rounding level, so the
+    call meets every eps_target at or above it and reports converged=False
+    for a target below it.
     """
     y = as_vector(y)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    check_finite_nonneg(lambda1, "lambda1")
-    check_finite_nonneg(lambda2, "lambda2")
+    sub = ProxSubproblem(y, gamma, OscarPenalty(lambda1, lambda2))
     if not eps_target >= 0:
         raise ValueError("eps_target must be non-negative")
-    if lambda1 == 0 and lambda2 == 0:
-        raise ValueError("use the exact identity prox when both weights are zero")
-
     pool = _prox_oscar_exact(y, gamma, lambda1, lambda2)
-    d = pool - y
-    beta = d / gamma
-    dual = -0.5 * gamma * float(beta @ beta) - float(beta @ y)
-    primal = 0.5 * (1.0 / gamma) * float(d @ d) + OscarPenalty(lambda1, lambda2)._value(pool)
-    cert = max(primal - dual, 0.0)
+    cert = oscar_dual_gap(pool, sub)
     return ProxResult(pool, cert, 0, [cert], converged=cert <= eps_target)
 
 
@@ -407,7 +365,8 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     the projection onto the ball clips W's singular values at 1.
     certified_eps is the duality gap Q(x(W)) - D(W) of the best pair seen, so
     gap_history is non-increasing; the loop stops once it meets eps_target
-    (never when that is None). w0 warm-starts W from a previous result's dual.
+    or reaches 0, after which the best pair cannot change. w0 warm-starts W
+    from a previous result's dual.
     """
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
@@ -437,7 +396,7 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
         if gap < best_gap:
             best_gap, best_x, best_w = gap, x, w
         history.append(best_gap)
-        if eps_target is not None and best_gap <= eps_target:
+        if best_gap == 0.0 or (eps_target is not None and best_gap <= eps_target):
             break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         v = w + ((t - 1.0) / t_next) * (w - w_prev)

@@ -219,13 +219,13 @@ def _make_prox(penalty, use_exact, config):
 
     L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
     under every kind, with certified_eps 0 and no inner iterations: any
-    certificate of an inexact OSCAR point needs the dual gauge, which costs
-    the same sort, so an inexact prox could only cost more. Trace lasso and
-    the rank prox in config.rank_mode ("residual" by default) are the
-    inexact proxes the solvers run; the exact kinds take the exact rank prox
-    whatever rank_mode says. prev is the previous result at the same
-    prox site, or None; they warm-start from its dual iterate (the subspace
-    basis for the rank prox).
+    certificate of an inexact OSCAR point needs a feasible dual point, whose
+    projection costs one more sort and pool, so an inexact prox could only
+    cost more. Trace lasso and the rank prox in config.rank_mode ("residual"
+    by default) are the inexact proxes the solvers run; the exact kinds take
+    the exact rank prox whatever rank_mode says. prev is the previous result
+    at the same prox site, or None; they warm-start from its dual iterate
+    (the subspace basis for the rank prox).
 
     The L1 site takes h from the magnitudes mag = max(|a| - gamma lam, 0)
     that soft thresholding builds: the point sign(a) * mag has |point| = mag

@@ -17,7 +17,6 @@ from iprox.prox import (
     _pav_nonincreasing,
     ProxSubproblem,
     oscar_dual_gap,
-    oscar_dual_gauge,
     prox_l1,
     prox_oscar_exact,
     prox_oscar_inexact,
@@ -311,14 +310,6 @@ class TestProxOscarExact:
 
 
 class TestDualGap:
-    def test_gauge_example(self):
-        assert abs(oscar_dual_gauge(np.array([1.0, 2.0]), 1.0, 1.0) - 1.0) < 1e-12
-
-    def test_gauge_scales(self):
-        xi = np.array([0.3, -1.2, 0.7])
-        g = oscar_dual_gauge(xi, 0.4, 0.2)
-        assert abs(oscar_dual_gauge(2.5 * xi, 0.4, 0.2) - 2.5 * g) < 1e-12
-
     def test_nonnegative_at_random_points(self):
         rng = np.random.default_rng(5)
         y = rng.standard_normal(5)
@@ -336,9 +327,35 @@ class TestDualGap:
             sub = ProxSubproblem(y, gamma, OscarPenalty(l1, l2))
             assert oscar_dual_gap(x, sub) <= 1e-8
 
+    def test_bounds_true_gap_off_the_optimum(self):
+        # soundness: the gap is at least Q(x) - min Q wherever x is, because
+        # its dual point is feasible; at x = 0 this one reads about 5.67
+        y = np.array([3.0, -2.0, 1.0])
+        sub = ProxSubproblem(y, 1.0, OscarPenalty(0.1, 0.1))
+        true_gap = sub.objective(np.zeros(3)) - sub.objective(prox_oscar_exact(y, 1.0, 0.1, 0.1))
+        assert true_gap > 5.0
+        assert oscar_dual_gap(np.zeros(3), sub) >= true_gap - 1e-12
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            y = 2.0 * rng.standard_normal(n)
+            gamma = float(rng.uniform(0.2, 1.5))
+            l1, l2 = (float(v) for v in rng.uniform(0.0, 0.6, size=2))
+            sub = ProxSubproblem(y, gamma, OscarPenalty(l1, l2))
+            q_min = sub.objective(prox_oscar_exact(y, gamma, l1, l2))
+            for x in (np.zeros(n), y, prox_oscar_exact(y, gamma, l1, l2) + 0.3 * rng.standard_normal(n)):
+                assert oscar_dual_gap(x, sub) >= sub.objective(x) - q_min - 1e-12
+
     def test_rejects_zero_weights(self):
         sub = ProxSubproblem(np.ones(2), 1.0, OscarPenalty(0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both penalty weights are zero"):
+            oscar_dual_gap(np.zeros(2), sub)
+        with pytest.raises(ValueError, match="both penalty weights are zero"):
+            prox_oscar_inexact(np.ones(2), 1.0, 0.0, 0.0, 1e-6)
+
+    def test_non_finite_anchor_rejected(self):
+        sub = ProxSubproblem(np.array([1.0, math.nan]), 1.0, OscarPenalty(0.1, 0.1))
+        with pytest.raises(ValueError, match="non-finite"):
             oscar_dual_gap(np.zeros(2), sub)
 
     def test_l1_penalty_supported(self):
@@ -428,8 +445,7 @@ class TestProxOscarInexact:
     @pytest.mark.parametrize("eps_target", [0.0, 1e-12, 1e-3])
     def test_pool_certified_by_its_duality_gap(self, eps_target):
         # draws with ties, zeros and -0.0: the point is the exact prox's bytes,
-        # and the certificate is the pool's primal value minus the dual value
-        # at beta = (pool - y) / gamma, floored at 0
+        # and the certificate is oscar_dual_gap at that point, bit for bit
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 12))
@@ -441,15 +457,8 @@ class TestProxOscarInexact:
             pool = prox_oscar_exact(y, gamma, l1, l2)
             assert res.point.tobytes() == pool.tobytes()
             assert res.inner_iters == 0
-            a = np.abs(pool)
-            ranks = np.empty(n, dtype=np.intp)
-            ranks[np.argsort(a, kind="stable")] = np.arange(n)
-            penalty = float((l1 + l2 * np.arange(n, dtype=np.float64)[ranks]) @ a)
-            d = pool - y
-            beta = d / gamma
-            dual = -0.5 * gamma * float(beta @ beta) - float(beta @ y)
-            gap = max(0.5 * (1.0 / gamma) * float(d @ d) + penalty - dual, 0.0)
-            assert res.certified_eps == gap
+            sub = ProxSubproblem(y, gamma, OscarPenalty(l1, l2))
+            assert res.certified_eps == oscar_dual_gap(pool, sub)
             assert res.gap_history == [res.certified_eps]
             assert res.converged == (res.certified_eps <= eps_target)
 
@@ -767,7 +776,9 @@ class TestProxTraceLasso:
         y = rng.standard_normal(4)
         p = TraceLassoPenalty(0.5, rng.standard_normal((6, 4)))
         res = prox_tracelasso_inexact(y, 0.7, p, inner_budget=500)
-        assert len(res.gap_history) == 500
+        # the gap reaches 0 within the budget, and the loop stops there
+        assert len(res.gap_history) == res.inner_iters + 1 < 500
+        assert res.gap_history[-1] == 0.0 and 0.0 not in res.gap_history[:-1]
         assert res.certified_eps >= 0.0
         # gap history is the running certificate, hence non-increasing
         assert all(b <= a + 1e-15 for a, b in zip(res.gap_history, res.gap_history[1:]))
