@@ -3,9 +3,10 @@
 Every penalty exposes value(x); the convex ones also expose subgradient(x)
 and carry is_convex = True so sampling-based subgradient checks know they
 apply. value checks its input; the L1, OSCAR and trace-lasso penalties
-also have _value, the same number without the check, which the solver
-loop calls on its OSCAR and trace-lasso prox outputs (its L1 prox site
-sums the magnitudes it has just thresholded).
+also have _value, the same number without the check. The solver loop's
+OSCAR prox site calls it on its output, and the trace-lasso prox on each
+dual iterate's primal point, as its duality gap's primal term (the L1
+prox site sums the magnitudes it has just thresholded).
 """
 from __future__ import annotations
 
@@ -100,6 +101,18 @@ class TraceLassoPenalty:
         """R of design = QR, computed on first use. ||design Diag(x)||_* =
         ||R Diag(x)||_*, so evaluations use this min(n, d) x d factor."""
         return np.linalg.qr(self.design, mode="r")
+
+    @cached_property
+    def _lam_factor(self):
+        """lam * R, the trace-lasso prox's dual map, computed on first use."""
+        return self.lam * self.factor
+
+    @cached_property
+    def _dual_lipschitz(self):
+        """max_j ||lam R_j||^2: the Lipschitz constant of the trace-lasso
+        prox's dual gradient per unit gamma, computed on first use."""
+        lam_r = self._lam_factor
+        return float(np.max(np.sum(lam_r * lam_r, axis=0), initial=0.0))
 
     def _check_dim(self, x):
         if x.shape[0] != self.design.shape[1]:

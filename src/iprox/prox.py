@@ -8,10 +8,10 @@ Each path has its own rounding policy. The residual-mode rank prox pads its
 certificate for rounding with delta (the rounding scale of the computed
 residual, traces and Ritz values) and rho (what rounding in the final
 product adds to the returned point's gap); see prox_rank. The power-mode
-gap top - ritz, the trace-lasso duality gap and oscar_dual_gap (which
-prox_oscar_inexact reports for the exact OSCAR pool) are raw float64
-differences, with no pad. The L1 and OSCAR proxes and the exact rank mode
-certify 0.
+gap top - ritz, the trace-lasso duality gap (whose primal term is the
+penalty's own value) and oscar_dual_gap (which prox_oscar_inexact reports
+for the exact OSCAR pool) are raw float64 differences, with no pad. The L1
+and OSCAR proxes and the exact rank mode certify 0.
 """
 from __future__ import annotations
 
@@ -26,6 +26,14 @@ from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 @dataclass(slots=True)
 class ProxResult:
+    """One prox call's point and certificate.
+
+    value is the regularizer's value at point, bit-equal to its public
+    value(point), where the prox has that number in hand: the rank prox
+    (0.0) and the trace-lasso prox (its duality gap's primal term). It is
+    None where the prox does not, as in prox_oscar_inexact.
+    """
+
     point: np.ndarray
     certified_eps: float
     inner_iters: int
@@ -33,6 +41,7 @@ class ProxResult:
     converged: bool = True
     eps_is_heuristic: bool = False  # always False: every certificate is a bound
     dual: np.ndarray | None = None  # dual iterate or subspace basis, for warm starts
+    value: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +233,13 @@ def prox_oscar_inexact(y, gamma, lambda1, lambda2, eps_target):
     return ProxResult(pool, cert, 0, [cert], converged=cert <= eps_target)
 
 
+def _check_eps_target(eps_target):
+    """Raise ValueError unless eps_target is None or a number >= 0 (+inf
+    included): nan fails every comparison and would never be met."""
+    if eps_target is not None and not eps_target >= 0:
+        raise ValueError("eps_target must be non-negative")
+
+
 def _top_eigensum(gram, r):
     """Sum of the r largest eigenvalues of a Gram matrix, from one eigvalsh."""
     return float(np.sum(np.linalg.eigvalsh(gram)[-r:]))
@@ -280,13 +296,15 @@ def prox_rank(
       budget is spent, the call certifies (top - tr(A) + delta + rho) /
       2 gamma with top from one eigvalsh of G, and sweeps no more.
 
-    Both stop after power_iters QR sweeps at the latest. eps_target only
-    sets converged; it stops no sweep. Every mode returns points of
-    rank <= r by construction.
+    Both stop after power_iters QR sweeps at the latest. eps_target (None
+    or >= 0) only sets converged; it stops no sweep. Every mode returns
+    points of rank <= r by construction, so value is the rank indicator's
+    0.0 there.
     """
     y = as_matrix(y)
+    _check_eps_target(eps_target)
     if mode == "exact":
-        return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True)
+        return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True, value=0.0)
     if mode not in ("power", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     check_rank(y.shape, r)
@@ -351,7 +369,7 @@ def prox_rank(
     point = (aq @ w) @ q.T
     return ProxResult(
         point.T if wide else point, history[-1], sweeps, history,
-        eps_target is None or history[-1] <= eps_target, dual=q,
+        eps_target is None or history[-1] <= eps_target, dual=q, value=0.0,
     )
 
 
@@ -365,8 +383,11 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     the projection onto the ball clips W's singular values at 1.
     certified_eps is the duality gap Q(x(W)) - D(W) of the best pair seen, so
     gap_history is non-increasing; the loop stops once it meets eps_target
-    or reaches 0, after which the best pair cannot change. w0 warm-starts W
-    from a previous result's dual.
+    (None or >= 0) or reaches 0, after which the best pair cannot change.
+    The gap's primal term is penalty._value(x(W)), so each evaluation takes
+    one SVD and value returns that term at the best point, bit-equal to
+    penalty.value(point). The gap is a raw float64 difference, with no pad.
+    w0 warm-starts W from a previous result's dual.
     """
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
@@ -375,26 +396,27 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
         raise ValueError("gamma must be positive")
     if not is_int(inner_budget) or inner_budget < 1:
         raise ValueError("inner_budget must be a positive integer")
+    _check_eps_target(eps_target)
     penalty._check_dim(y)
-    lam_r = penalty.lam * penalty.factor
-    lip = gamma * float(np.max(np.sum(lam_r * lam_r, axis=0), initial=0.0))
+    lam_r = penalty._lam_factor
+    lip = gamma * penalty._dual_lipschitz
     if lip == 0.0:
-        return ProxResult(y.copy(), 0.0, 0, [], True)
+        return ProxResult(y.copy(), 0.0, 0, [], True, value=penalty._value(y))
 
     def primal(w):
         return y - gamma * np.einsum("ij,ij->j", lam_r, w)
 
     w = w_prev = np.zeros_like(lam_r) if w0 is None else w0
     t = 1.0
-    best_gap, best_x, best_w = np.inf, None, None
+    best_gap, best_x, best_w, best_value = np.inf, None, None, None
     history = []
     iters = 0
     for _ in range(inner_budget):
         x = primal(w)
-        m = lam_r * x
-        gap = max(float(np.linalg.svd(m, compute_uv=False).sum() - (w * m).sum()), 0.0)
+        value = penalty._value(x)
+        gap = max(value - float((w * (lam_r * x)).sum()), 0.0)
         if gap < best_gap:
-            best_gap, best_x, best_w = gap, x, w
+            best_gap, best_x, best_w, best_value = gap, x, w, value
         history.append(best_gap)
         if best_gap == 0.0 or (eps_target is not None and best_gap <= eps_target):
             break
@@ -404,4 +426,4 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
         w_prev, w, t = w, (u * np.minimum(s, 1.0)) @ vt, t_next
         iters += 1
     converged = eps_target is None or best_gap <= eps_target
-    return ProxResult(best_x, best_gap, iters, history, converged, dual=best_w)
+    return ProxResult(best_x, best_gap, iters, history, converged, dual=best_w, value=best_value)

@@ -214,8 +214,8 @@ class IterationTrace:
 
 def _make_prox(penalty, use_exact, config):
     """Bind a penalty to its prox site: a callable
-    (anchor, gamma, eps_k, prev) -> (ProxResult, h), h the penalty's value at
-    the result's point.
+    (anchor, gamma, eps_k, prev) -> ProxResult whose value is the penalty's
+    value at its point, bit-equal to penalty.value(point).
 
     L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
     under every kind, with certified_eps 0 and no inner iterations: any
@@ -227,21 +227,24 @@ def _make_prox(penalty, use_exact, config):
     at the same prox site, or None; they warm-start from its dual iterate
     (the subspace basis for the rank prox).
 
-    The L1 site takes h from the magnitudes mag = max(|a| - gamma lam, 0)
-    that soft thresholding builds: the point sign(a) * mag has |point| = mag
-    exactly, so h is bit-equal to the penalty's value there. The point is
-    not np.copysign(mag, a): at a = -0.0 that is -0.0, where
-    np.sign(a) * mag is +0.0.
-    The OSCAR and trace-lasso sites take the penalty's unchecked value core
-    at the point. Every rank-prox mode returns points of rank <= r by
-    construction, so the rank indicator's value there is 0 without the SVD
-    that RankConstraint.value runs.
+    The L1 site takes the value from the magnitudes
+    mag = max(|a| - gamma lam, 0) that soft thresholding builds: the point
+    sign(a) * mag has |point| = mag exactly, so the value is bit-equal to
+    the penalty's there. The point is not np.copysign(mag, a): at a = -0.0
+    that is -0.0, where np.sign(a) * mag is +0.0.
+    The OSCAR site takes the penalty's unchecked value core at the point.
+    The trace-lasso prox computes that core at each of its iterates as its
+    duality gap's primal term and returns it for the point it picks, so the
+    site runs no SVD of its own. Every rank-prox mode returns points of
+    rank <= r by construction, and value 0.0, without the SVD that
+    RankConstraint.value runs.
 
     The L1 and OSCAR proxes and every value are the unchecked cores: the
     loop feeds them its own finite iterates, and a non-finite anchor passes
     through them to loss.eval's scan. The trace-lasso and rank proxes stay
     the public functions, whose input check is small against their inner
-    iterations.
+    iterations. Both are called through their names in this module, so a
+    wrapper set there sees every call.
     """
 
     if isinstance(penalty, L1Penalty):
@@ -249,7 +252,7 @@ def _make_prox(penalty, use_exact, config):
 
         def call(anchor, gamma, eps_k, prev):
             mag = np.maximum(np.abs(anchor) - gamma * lam, 0.0)
-            return ProxResult(np.sign(anchor) * mag, 0.0, 0), lam * float(np.add.reduce(mag))
+            return ProxResult(np.sign(anchor) * mag, 0.0, 0, value=lam * float(np.add.reduce(mag)))
 
         return call
 
@@ -258,7 +261,7 @@ def _make_prox(penalty, use_exact, config):
 
         def call(anchor, gamma, eps_k, prev):
             point = _prox_oscar_exact(anchor, gamma, l1, l2) if l2 else _prox_l1(anchor, gamma * l1)
-            return ProxResult(point, 0.0, 0), penalty._value(point)
+            return ProxResult(point, 0.0, 0, value=penalty._value(point))
 
         return call
 
@@ -267,11 +270,10 @@ def _make_prox(penalty, use_exact, config):
             raise ValueError("trace-lasso penalty has no exact prox; use an inexact solver kind")
 
         def call(anchor, gamma, eps_k, prev):
-            res = prox_tracelasso_inexact(
+            return prox_tracelasso_inexact(
                 anchor, gamma, penalty, inner_budget=config.inner_max_iters,
                 eps_target=eps_k, w0=None if prev is None else prev.dual,
             )
-            return res, penalty._value(res.point)
 
         return call
 
@@ -282,7 +284,7 @@ def _make_prox(penalty, use_exact, config):
             return prox_rank(
                 anchor, penalty.r, mode=mode, seed=config.seed, gamma=gamma, eps_target=eps_k,
                 v0=None if prev is None else prev.dual,
-            ), 0.0
+            )
 
         return call
 
@@ -312,15 +314,15 @@ def _resolve_gamma(loss, config):
     return gamma
 
 
-def _objective(loss, h, point, k, kind, records):
-    """Objective and loss gradient at a prox output, inside the loop.
+def _objective(loss, res, k, kind, records):
+    """Objective and loss gradient at a prox site's result, inside the loop.
 
-    h is the penalty's value at point, from the prox site. loss.eval's
-    finiteness scan of point guards the loop; a non-finite objective is
-    caught behind it.
+    res.value is the penalty's value at res.point, from the prox site.
+    loss.eval's finiteness scan of the point guards the loop; a non-finite
+    objective is caught behind it.
     """
-    fval, grad = loss.eval(point)
-    fval += h
+    fval, grad = loss.eval(res.point)
+    fval += res.value
     _check_finite(fval, k, kind, records)
     return fval, grad
 
@@ -381,9 +383,9 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, momentum_next(t_cur)
             _, grad_y = loss.eval(y)
-            res_z, h_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
+            res_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
             z = res_z.point
-            f_z, grad_z = _objective(loss, h_z, z, k, kind, records)
+            f_z, grad_z = _objective(loss, res_z, k, kind, records)
             z_step_sq = _sq_norm(z - y)
             shortcut = nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq
 
@@ -391,12 +393,9 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         if shortcut:
             branch = "shortcut"
         else:  # the monitor step, which pg/ipg take alone
-            if shared:
-                res_v, h_v = res_z, h_z
-            else:
-                res_v, h_v = prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, last_v)
+            res_v = res_z if shared else prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, last_v)
             last_v = res_v
-            f_v, grad_v = _objective(loss, h_v, res_v.point, k, kind, records)
+            f_v, grad_v = _objective(loss, res_v, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:
                 branch = "prox"

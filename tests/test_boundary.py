@@ -60,3 +60,26 @@ def test_matrix_calls_reject_non_finite_input(name, bad):
     x[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         MATRIX_CALLS[name](x)
+
+
+EPS_TARGET_CALLS = {
+    "prox_tracelasso_inexact": lambda eps: prox_tracelasso_inexact(
+        np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO, eps_target=eps
+    ),
+    **{
+        f"prox_rank {mode}": lambda eps, mode=mode: prox_rank(
+            np.arange(9.0).reshape(3, 3) - 4.0, 1, mode=mode, eps_target=eps
+        )
+        for mode in ("exact", "power", "residual")
+    },
+}
+
+
+@pytest.mark.parametrize("bad", (np.nan, -np.inf, -1.0))
+@pytest.mark.parametrize("name", sorted(EPS_TARGET_CALLS))
+def test_eps_target_must_be_none_or_non_negative(name, bad):
+    # a nan target fails every comparison, so it could never be met
+    for target in (None, 0.0, np.inf):
+        EPS_TARGET_CALLS[name](target)
+    with pytest.raises(ValueError, match="eps_target must be non-negative"):
+        EPS_TARGET_CALLS[name](bad)

@@ -824,6 +824,52 @@ class TestProxTraceLassoDual:
         assert warm.inner_iters < cold.inner_iters
         assert np.linalg.norm(first.dual, 2) <= 1.0 + 1e-12
 
+    def test_certificate_is_the_gap_from_the_penalty_value(self):
+        # the gap's primal term is the penalty's own value, returned as value
+        rng = np.random.default_rng(33)
+        for shape in [(9, 5), (4, 7), (20, 8)] * 3:
+            design = rng.standard_normal(shape)
+            p = TraceLassoPenalty(rng.uniform(0.1, 1.0), design)
+            lam_r = p.lam * p.factor
+            y = rng.standard_normal(shape[1])
+            gamma = rng.uniform(0.3, 1.5)
+            eps = 10.0 ** -rng.integers(2, 9)
+            cold = prox_tracelasso_inexact(y, gamma, p, eps_target=eps)
+            nearby = y + 1e-2 * rng.standard_normal(shape[1])
+            warm = prox_tracelasso_inexact(nearby, gamma, p, eps_target=eps, w0=cold.dual)
+            short = prox_tracelasso_inexact(y, gamma, p, inner_budget=3, eps_target=0.0)
+            for res in (cold, warm, short):
+                value = p.value(res.point)
+                gap = max(value - float((res.dual * (lam_r * res.point)).sum()), 0.0)
+                assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+                assert np.float64(res.certified_eps).tobytes() == np.float64(gap).tobytes()
+            assert short.inner_iters == 3 and not short.converged
+
+    @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
+    def test_one_svd_per_gap_evaluation_and_per_projection(self, kind, monkeypatch):
+        prob = build_problem("robust_tracelasso", seed=0, params={"n": 30, "d": 6, "sparsity": 2})
+        svds, calls = [], []
+        real_svd, real_prox = np.linalg.svd, solvers_mod.prox_tracelasso_inexact
+
+        def counting_svd(*args, **kwargs):
+            svds.append(1)
+            return real_svd(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            res = real_prox(*args, **kwargs)
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(solvers_mod, "prox_tracelasso_inexact", recording)
+        config = SolverConfig(max_iters=15, solver_kind=kind)
+        run_solver(prob.loss, prob.regularizer, prob.x0, config)
+        # every call stops at a gap evaluation, inside its budget: inner + 1
+        # evaluations and inner projections, and the site itself runs none
+        assert calls and all(res.inner_iters < config.inner_max_iters for res in calls)
+        # the 1 is the start point's public penalty value
+        assert len(svds) == 1 + sum(2 * res.inner_iters + 1 for res in calls)
+
     @pytest.mark.parametrize("kind", ["ipg", "aipg", "nmaipg"])
     def test_bench_size_run_meets_every_request(self, kind):
         prob = build_problem("robust_tracelasso", seed=7)

@@ -10,7 +10,7 @@ import iprox.solvers as solvers_mod
 from iprox.bench import build_problem
 from iprox.linalg import as_vector
 from iprox.losses import MaskedLogisticLoss, RegressionDataset, SquareLoss
-from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint
+from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import prox_l1, prox_oscar_exact, prox_rank
 from iprox.solvers import (
     SOLVER_KINDS,
@@ -454,11 +454,79 @@ class TestL1ProxSite:
         )
         config = SolverConfig(max_iters=1, solver_kind="pg")
         prox = solvers_mod._make_prox(L1Penalty(lam), True, config)
-        res, h = prox(anchors, gamma, 0.0, None)
+        res = prox(anchors, gamma, 0.0, None)
         want = np.sign(anchors) * np.maximum(np.abs(anchors) - t, 0.0)
         assert res.point.tobytes() == want.tobytes()  # -0.0 in, +0.0 out
-        assert _bits(h) == _bits(L1Penalty(lam).value(res.point))
+        assert _bits(res.value) == _bits(L1Penalty(lam).value(res.point))
         assert (res.certified_eps, res.inner_iters) == (0.0, 0)
+
+
+class TestProxSiteValues:
+    """Every prox site's result carries the penalty's public value at its
+    point, bit for bit, warm-started sites included."""
+
+    DESIGN = np.random.default_rng(5).standard_normal((9, 6))
+    CASES = {
+        "l1": (L1Penalty(0.3), False, "residual"),
+        "oscar": (OscarPenalty(0.1, 0.05), False, "residual"),
+        "oscar-lambda2-zero": (OscarPenalty(0.1, 0.0), False, "residual"),
+        "tracelasso": (TraceLassoPenalty(0.4, DESIGN), False, "residual"),
+        "tracelasso-lam-zero": (TraceLassoPenalty(0.0, DESIGN), False, "residual"),
+        "rank-exact": (RankConstraint(2), True, "residual"),
+        "rank-power": (RankConstraint(2), False, "power"),
+        "rank-residual": (RankConstraint(2), False, "residual"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_value_is_the_public_value_at_the_point(self, case):
+        penalty, use_exact, rank_mode = self.CASES[case]
+        config = SolverConfig(max_iters=1, solver_kind="ipg", rank_mode=rank_mode)
+        prox = solvers_mod._make_prox(penalty, use_exact, config)
+        rng = np.random.default_rng(6)
+        shape = (8, 7) if isinstance(penalty, RankConstraint) else (6,)
+        anchor = rng.standard_normal(shape)
+        res = None
+        for eps_k in (1e-2, 1e-5, 1e-8, 0.0):
+            anchor = anchor + 0.1 * rng.standard_normal(shape)
+            res = prox(anchor, 0.7, eps_k, res)
+            assert _bits(res.value) == _bits(penalty.value(res.point)), eps_k
+
+
+class TestProxNamesStayVisible:
+    """The trace-lasso and rank sites call their prox through its name in
+    iprox.solvers, so a wrapper set on that name, as a traced benchmark pass
+    sets one, sees each of the loop's prox calls once."""
+
+    @pytest.mark.parametrize(
+        "app,name,kind",
+        [("robust_tracelasso", "prox_tracelasso_inexact", k) for k in ("ipg", "aipg", "nmaipg")]
+        + [("link_prediction", "prox_rank", k) for k in SOLVER_KINDS],
+    )
+    def test_each_site_call_reaches_the_wrapped_name(self, app, name, kind, monkeypatch):
+        prob = build_problem(app, seed=0, params=TestRecordObjectives.SIZES[app])
+        wrapped, sited = [], []
+        real_prox, real_make = getattr(solvers_mod, name), solvers_mod._make_prox
+
+        def wrapper(*args, **kwargs):
+            res = real_prox(*args, **kwargs)
+            wrapped.append(res)
+            return res
+
+        def make_prox(*args):
+            site = real_make(*args)
+
+            def counted(*site_args):
+                res = site(*site_args)
+                sited.append(res)
+                return res
+
+            return counted
+
+        monkeypatch.setattr(solvers_mod, name, wrapper)
+        monkeypatch.setattr(solvers_mod, "_make_prox", make_prox)
+        run_solver(prob.loss, prob.regularizer, prob.x0, SolverConfig(max_iters=15, solver_kind=kind))
+        assert sited and len(wrapped) == len(sited)
+        assert all(a is b for a, b in zip(wrapped, sited))
 
 
 class TestRecordObjectives:
