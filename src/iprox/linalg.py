@@ -23,10 +23,13 @@ import numpy as np
 
 
 def as_vector(x, name="x"):
+    """x as a 1-d float64 array, or ValueError if it is not 1-d or holds a
+    non-finite entry. The scan is np.logical_and.reduce over np.isfinite:
+    the check of .all(), without its Python frame, on every loss evaluation."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -35,14 +38,15 @@ def as_matrix(a, name="a"):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def is_int(value):
-    """The integer rule of every count and rank: a Python or numpy integer."""
-    return isinstance(value, (int, np.integer))
+    """The integer rule of every count and rank: a Python or numpy integer,
+    not a bool (True would pass as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_seed(seed):

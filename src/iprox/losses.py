@@ -91,15 +91,28 @@ class CorrentropyLoss:
         return spectral_norm_sq(self.dataset.design)
 
     def eval(self, x):
+        """(value, gradient) at x, bit-equal to the defining formulas with
+        res = targets - design @ x and e = exp(-(res / sigma)^2).
+
+        The elementwise chain runs in place on the two arrays the call makes,
+        res and e, and both products are np.dot, which rounds as @ does. The
+        gradient is a fresh array per call; no buffer outlives the call.
+        """
         x = as_vector(x)
         design = self.dataset.design
         _check_dim(x, design.shape[1])
-        res = self.dataset.targets - design @ x
-        e = np.exp(-((res / self.sigma) ** 2))
+        res = np.dot(design, x)
+        np.subtract(self.dataset.targets, res, out=res)
+        e = np.divide(res, self.sigma)
+        np.square(e, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
         value = 0.5 * self.sigma**2 * float(np.add.reduce(1.0 - e))
+        e *= res
         # negated last: with the sign folded into res, the zero entries of an
         # all-zero design column would come out +0.0 rather than -0.0
-        return value, -(design.T @ (e * res))
+        grad = np.dot(design.T, e)
+        return value, np.negative(grad, out=grad)
 
     def lipschitz(self):
         return self._lipschitz

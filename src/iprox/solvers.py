@@ -116,9 +116,18 @@ def schedule_eps(schedule, k, prev_step_sq=0.0):
 
 
 def momentum_next(t):
-    """t_{k+1} = (sqrt(4 t_k^2 + 1) + 1) / 2; satisfies t'^2 - t' = t^2."""
+    """t_{k+1} = (sqrt(4 t_k^2 + 1) + 1) / 2; satisfies t'^2 - t' = t^2.
+
+    Raises ValueError for t < 0. The loop calls the unchecked core
+    _momentum_next on its own t, which starts at 1 and only grows.
+    """
     if t < 0:
         raise ValueError("momentum parameter must be non-negative")
+    return _momentum_next(t)
+
+
+def _momentum_next(t):
+    """momentum_next without the check, for the loop's own t."""
     return 0.5 * (math.sqrt(4.0 * t * t + 1.0) + 1.0)
 
 
@@ -251,8 +260,12 @@ def _make_prox(penalty, use_exact, config):
         lam = penalty.lam
 
         def call(anchor, gamma, eps_k, prev):
-            mag = np.maximum(np.abs(anchor) - gamma * lam, 0.0)
-            return ProxResult(np.sign(anchor) * mag, 0.0, 0, value=lam * float(np.add.reduce(mag)))
+            mag = np.abs(anchor)
+            mag -= gamma * lam
+            np.maximum(mag, 0.0, out=mag)
+            point = np.sign(anchor)
+            point *= mag
+            return ProxResult(point, 0.0, 0, value=lam * float(np.add.reduce(mag)))
 
         return call
 
@@ -381,7 +394,7 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             # z-accept; with one previous result, both sites solve one subproblem
             shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0) and res_z is last_v
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
-            t_prev, t_cur = t_cur, momentum_next(t_cur)
+            t_prev, t_cur = t_cur, _momentum_next(t_cur)
             _, grad_y = loss.eval(y)
             res_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
             z = res_z.point
@@ -410,17 +423,13 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         x_next = res.point
         monitor_inner = res_v.inner_iters if res_v and not shared else 0  # a shared call counts once
         records.append(
-            IterationRecord(
+            IterationRecord(  # every field positionally: keywords cost more per call
                 k, f_next, step_sq, eps_k, res.certified_eps,
                 (res_z.inner_iters if accelerated else 0) + monitor_inner,
                 branch, time.perf_counter() - start,
                 (res_z.converged if accelerated else True) and (res_v.converged if res_v else True),
-                monitor_objective=f_v,
-                monitor_step_sq=v_step_sq,
-                monitor_eps=res_v.certified_eps if res_v else None,
-                monitor_inner_iters=monitor_inner,
-                z_objective=f_z,
-                z_step_sq=z_step_sq,
+                f_v, v_step_sq, res_v.certified_eps if res_v else None, monitor_inner,
+                f_z, z_step_sq,
             )
         )
         if keep_iterates:

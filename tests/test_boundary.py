@@ -2,11 +2,12 @@
 
 The solver loop runs unchecked cores of the L1/OSCAR proxes and of the
 penalty values, so these calls are where a non-finite input from outside
-is stopped.
+is stopped. Every count, rank and seed they take is an integer, not a bool.
 """
 import numpy as np
 import pytest
 
+from iprox.datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 from iprox.losses import (
     CorrentropyLoss,
     MaskedLogisticLoss,
@@ -14,8 +15,9 @@ from iprox.losses import (
     RegressionDataset,
     SquareLoss,
 )
-from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
+from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from iprox.prox import prox_l1, prox_oscar_exact, prox_oscar_inexact, prox_rank, prox_tracelasso_inexact
+from iprox.solvers import SolverConfig
 
 DESIGN = np.arange(12.0).reshape(4, 3) / 10.0 + np.eye(4, 3)
 DATASET = RegressionDataset(DESIGN, np.ones(4))
@@ -83,3 +85,49 @@ def test_eps_target_must_be_none_or_non_negative(name, bad):
         EPS_TARGET_CALLS[name](target)
     with pytest.raises(ValueError, match="eps_target must be non-negative"):
         EPS_TARGET_CALLS[name](bad)
+
+
+SQUARE = np.arange(9.0).reshape(3, 3) - 4.0
+COUNT_CALLS = {
+    "SolverConfig max_iters": lambda v: SolverConfig(max_iters=v, solver_kind="ipg"),
+    "SolverConfig inner_max_iters": lambda v: SolverConfig(max_iters=1, solver_kind="ipg", inner_max_iters=v),
+    "SolverConfig seed": lambda v: SolverConfig(max_iters=1, solver_kind="ipg", seed=v),
+    "RankConstraint r": RankConstraint,
+    **{
+        f"prox_rank {mode} r": lambda v, mode=mode: prox_rank(SQUARE, v, mode=mode)
+        for mode in ("exact", "power", "residual")
+    },
+    "prox_rank power_iters": lambda v: prox_rank(SQUARE, 1, mode="power", power_iters=v),
+    "prox_tracelasso_inexact inner_budget": lambda v: prox_tracelasso_inexact(
+        np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO, inner_budget=v
+    ),
+    "ObservedSignMatrix n_users": lambda v: ObservedSignMatrix(v, [0], [0], [1.0]),
+    **{
+        f"gen_grouped_regression {arg}": lambda v, arg=arg: gen_grouped_regression(
+            **{"n": 4, "d": 3, "n_groups": 1, "seed": 1, arg: v}
+        )
+        for arg in ("n", "d", "n_groups", "seed")
+    },
+    **{
+        f"gen_signed_lowrank {arg}": lambda v, arg=arg: gen_signed_lowrank(
+            **{"n_users": 4, "true_rank": 1, "obs_frac": 0.5, "seed": 1, arg: v}
+        )
+        for arg in ("n_users", "true_rank", "seed")
+    },
+    **{
+        f"gen_correlated_design {arg}": lambda v, arg=arg: gen_correlated_design(
+            **{"n": 4, "d": 3, "correlation": 0.5, "sparsity": 1, "seed": 1, arg: v}
+        )
+        for arg in ("n", "d", "sparsity", "seed")
+    },
+}
+
+
+@pytest.mark.parametrize("flag", (True, np.True_))
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_counts_ranks_and_seeds_reject_bools(name, flag):
+    # True == 1, so a bool passed as a count once ran as one
+    COUNT_CALLS[name](1)
+    COUNT_CALLS[name](np.int64(1))
+    with pytest.raises(ValueError):
+        COUNT_CALLS[name](flag)

@@ -91,6 +91,30 @@ class TestCorrentropy:
             gb = loss.eval(b)[1]
             assert np.linalg.norm(ga - gb) <= lip * np.linalg.norm(a - b) + 1e-9
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.7, 3.0])
+    def test_bit_equal_to_the_defining_formulas(self, sigma):
+        rng = np.random.default_rng(int(10 * sigma))
+        n, d = 40, 6
+        design = rng.standard_normal((n, d))
+        design[:, 2] = 0.0  # an all-zero column: its gradient entry is -0.0
+        for _ in range(5):
+            x = rng.standard_normal(d)
+            x[1], x[4] = 0.0, -0.0
+            # residuals of either sign from 1e-8 to 1e3
+            offsets = rng.choice([-1.0, 1.0], size=n) * np.logspace(-8, 3, n)
+            targets = design @ x + rng.permutation(offsets)
+            loss = CorrentropyLoss(RegressionDataset(design, targets), sigma=sigma)
+            x_bytes = x.tobytes()
+            value, grad = loss.eval(x)
+            res = targets - design @ x
+            e = np.exp(-((res / sigma) ** 2))
+            assert value == 0.5 * sigma**2 * float(np.add.reduce(1.0 - e))
+            assert grad.tobytes() == (-(design.T @ (e * res))).tobytes()
+            assert grad[2] == 0.0 and np.signbit(grad[2])
+            assert x.tobytes() == x_bytes
+            again = loss.eval(x)[1]  # a fresh gradient per call, the same bits
+            assert again.tobytes() == grad.tobytes() and not np.shares_memory(again, grad)
+
     def test_identity_design_lipschitz(self):
         ds = RegressionDataset(np.eye(4), np.zeros(4))
         assert abs(CorrentropyLoss(ds, sigma=2.0).lipschitz() - 1.0) < 1e-8

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from iprox.bench import APPLICATIONS
+from iprox.solvers import EXACT_KINDS, SOLVER_KINDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,3 +36,18 @@ def test_trace_keys_prints_one_hash_per_pair():
     assert len({(app, kind) for app, kind, _ in pairs}) == 21
     assert [kind for app, kind, _ in pairs if app == "robust_tracelasso"] == ["ipg", "aipg", "nmaipg"]
     assert lines == run_script("trace_keys.py", "--max-iters", "3")  # deterministic
+
+
+def test_kind_times_prints_one_row_per_application():
+    lines = run_script("kind_times.py", "--max-iters", "2", "--runs", "1")
+    assert lines[0] == "| application | " + " | ".join(SOLVER_KINDS) + " |"
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
+    assert [row[0] for row in rows] == list(APPLICATIONS)
+    for app, *cells in rows:
+        assert len(cells) == len(SOLVER_KINDS)
+        for kind, text in zip(SOLVER_KINDS, cells):
+            if app == "robust_tracelasso" and kind in EXACT_KINDS:
+                assert text == "n/a"
+            else:
+                value, unit = text.split()
+                assert unit == "ms" and float(value) >= 0

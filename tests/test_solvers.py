@@ -454,7 +454,9 @@ class TestL1ProxSite:
         )
         config = SolverConfig(max_iters=1, solver_kind="pg")
         prox = solvers_mod._make_prox(L1Penalty(lam), True, config)
+        anchor_bytes = anchors.tobytes()
         res = prox(anchors, gamma, 0.0, None)
+        assert anchors.tobytes() == anchor_bytes and not np.shares_memory(res.point, anchors)
         want = np.sign(anchors) * np.maximum(np.abs(anchors) - t, 0.0)
         assert res.point.tobytes() == want.tobytes()  # -0.0 in, +0.0 out
         assert _bits(res.value) == _bits(L1Penalty(lam).value(res.point))
