@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print the wall time of every (application, solver kind) pair as a table.
+"""Print the wall time of every (application, solver kind) pair as a table,
+then the work behind it as a second table.
 
 Each cell runs build_problem(app, seed=7) at default sizes with
 SolverConfig(max_iters=N, seed=7) and the default error schedule, under one
-BLAS thread, and reports the median wall time of --runs solves. The trace-lasso
-penalty has no exact prox, so its exact kinds read n/a. Run it on two
-checkouts to compare them:
+BLAS thread, and reports the median wall time of --runs solves. The second
+table, after a blank line, gives the sum of inner_iters over the records of
+each cell's first solve; the runs are deterministic, so every solve gives the
+same sum. The trace-lasso penalty has no exact prox, so its exact kinds read
+n/a in both. Run it on two checkouts to compare them:
 
     PYTHONPATH=src python scripts/kind_times.py --max-iters 200 --runs 5
 """
@@ -25,12 +28,20 @@ SEED = 7
 
 
 def cell(problem, config, runs):
-    times = []
+    """The median wall time of `runs` solves, and the first solve's inner iterations."""
+    times, inner = [], None
     for _ in range(runs):
         start = time.perf_counter()
-        run_solver(problem.loss, problem.regularizer, problem.x0, config)
+        trace = run_solver(problem.loss, problem.regularizer, problem.x0, config)
         times.append(time.perf_counter() - start)
-    return f"{1e3 * statistics.median(times):.1f} ms"
+        if inner is None:
+            inner = sum(r.inner_iters for r in trace.records)
+    return f"{1e3 * statistics.median(times):.1f} ms", str(inner)
+
+
+def header():
+    print("| application | " + " | ".join(SOLVER_KINDS) + " |")
+    print("| --- " * (len(SOLVER_KINDS) + 1) + "|")
 
 
 def main():
@@ -40,16 +51,20 @@ def main():
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    print("| application | " + " | ".join(SOLVER_KINDS) + " |")
-    print("| --- " * (len(SOLVER_KINDS) + 1) + "|")
+    header()
+    work = []
     for app in APPLICATIONS:
         problem = build_problem(app, seed=SEED)
         cells = [
-            "n/a" if app == "robust_tracelasso" and kind in EXACT_KINDS
+            ("n/a", "n/a") if app == "robust_tracelasso" and kind in EXACT_KINDS
             else cell(problem, SolverConfig(max_iters=args.max_iters, solver_kind=kind, seed=SEED), args.runs)
             for kind in SOLVER_KINDS
         ]
-        print(f"| {app} | " + " | ".join(cells) + " |")
+        print(f"| {app} | " + " | ".join(t for t, _ in cells) + " |")
+        work.append(f"| {app} | " + " | ".join(n for _, n in cells) + " |")
+    print()
+    header()
+    print("\n".join(work))
     return 0
 
 

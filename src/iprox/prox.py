@@ -255,8 +255,9 @@ def prox_rank(
     iteration Q <- qr(a^T (a Q)), with a = y (y^T for wide y) of shape
     n x m, n >= m, without forming the Gram matrix G = a^T a, and return
     (a Q_r) Q_r^T (transposed back for wide y) with dual = Q_r. A warm
-    start iterates the r columns of v0 (a previous result's dual). A cold
-    start iterates r + 5 columns of a seeded Gaussian block, so that a flat
+    start iterates the columns of v0, a previous result's dual; a v0 that
+    is not finite with m rows and at least r columns raises ValueError. A
+    cold start iterates r + 5 columns of a seeded Gaussian block, so that a flat
     spectrum around sigma_r still converges (oversampling; Halko,
     Martinsson & Tropp). Each sweep takes a Rayleigh-Ritz step on
     (a Q)^T (a Q) and keeps the top r Ritz vectors Q_r, with
@@ -318,6 +319,9 @@ def prox_rank(
     eps = float(np.finfo(np.float64).eps)
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal((m, min(r + 5, m)))
+    elif not (np.ndim(v0) == 2 and np.shape(v0)[0] == m and np.shape(v0)[1] >= r and np.isfinite(v0).all()):
+        # fewer than r columns would iterate, and certify, a subspace of rank < r
+        raise ValueError(f"v0 must be a finite 2-D array with {m} rows and at least {r} columns")
     q = np.linalg.qr(v0)[0]
     if mode == "power":
         top = _top_eigensum(a.T @ a, r)
@@ -387,18 +391,22 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     The gap's primal term is penalty._value(x(W)), so each evaluation takes
     one SVD and value returns that term at the best point, bit-equal to
     penalty.value(point). The gap is a raw float64 difference, with no pad.
-    w0 warm-starts W from a previous result's dual.
+    w0 warm-starts W from a previous result's dual, which is feasible: the
+    first gap is taken at w0 itself, so a w0 outside the ball can certify
+    less than the true gap. Its shape and finiteness are checked.
     """
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
         raise TypeError("penalty must be a TraceLassoPenalty")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if not is_int(inner_budget) or inner_budget < 1:
         raise ValueError("inner_budget must be a positive integer")
     _check_eps_target(eps_target)
     penalty._check_dim(y)
     lam_r = penalty._lam_factor
+    if w0 is not None and not (np.shape(w0) == lam_r.shape and np.isfinite(w0).all()):
+        raise ValueError(f"w0 must be a finite array of shape {lam_r.shape}")
     lip = gamma * penalty._dual_lipschitz
     if lip == 0.0:
         return ProxResult(y.copy(), 0.0, 0, [], True, value=penalty._value(y))

@@ -14,13 +14,16 @@ implementations.
 The loss is evaluated once per point: the gradient returned with an accepted
 point's objective is the one the next iteration steps from.
 
-At k = 1 the momentum point y_1 is x_0, and at k = 2, after the z-accept that
-k = 1 then forces, y_2 is x_1. There the z and v sites would solve the same
-subproblem from the same warm start, so the v site takes the z site's result
-and makes no prox call; the record's inner_iters counts that call once, and
-its monitor_inner_iters is 0. y is still evaluated at those iterations,
-although it equals x_k, so apg and aipg make three loss evaluations on every
-iteration (TestOracleCalls pins the counts).
+The z site warm-starts from its previous result. The accelerated kinds'
+monitor warm-starts from the z result of the same iteration, whose anchor
+y_k - gamma * grad g(y_k) is near its own; pg/ipg chain their monitor results.
+At k = 1 the momentum point y_1 is x_0, and at k = 2, after the z-accept or
+shortcut that k = 1 ends in, y_2 is x_1. There both sites have one
+subproblem, so the v site takes the z site's result and makes no prox call;
+the record's inner_iters counts that call once, and its monitor_inner_iters
+is 0. y is still evaluated at those iterations, although it equals x_k, so
+apg and aipg make three loss evaluations on every iteration (TestOracleCalls
+pins the counts).
 
 The loop's n x n arithmetic builds one fresh array per expression (_anchor,
 extrapolate, _sq_norm), bit-equal to the plain numpy expressions, and keeps
@@ -168,8 +171,8 @@ class SolverConfig:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
         if not is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         check_seed(self.seed)
@@ -232,9 +235,10 @@ def _make_prox(penalty, use_exact, config):
     projection costs one more sort and pool, so an inexact prox could only
     cost more. Trace lasso and the rank prox in config.rank_mode ("residual"
     by default) are the inexact proxes the solvers run; the exact kinds take
-    the exact rank prox whatever rank_mode says. prev is the previous result
-    at the same prox site, or None; they warm-start from its dual iterate
-    (the subspace basis for the rank prox).
+    the exact rank prox whatever rank_mode says. prev is the result to
+    warm-start from (which one: see the module docstring), or None; the
+    trace-lasso and rank proxes start from its dual (the subspace basis for
+    the rank prox), and the L1, OSCAR and exact-rank sites ignore it.
 
     The L1 site takes the value from the magnitudes
     mag = max(|a| - gamma lam, 0) that soft thresholding builds: the point
@@ -383,16 +387,16 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     start = time.perf_counter()
     records.append(IterationRecord(0, f_cur, 0.0, 0.0, 0.0, 0, "init", 0.0))
     iterates = [{"x": x_cur.copy()}] if keep_iterates else None
-    res_z = last_v = None  # latest result at each prox site, for warm starts
+    res_z = res_v = None  # each site's latest result: res_z warm-starts both, res_v pg/ipg's
     f_z = z_step_sq = None  # the candidate's, under the accelerated kinds only
     prev_step_sq = 0.0
     for k in range(1, config.max_iters + 1):
         eps_k = 0.0 if exact else schedule_eps(config.error_schedule, k, prev_step_sq)
         shortcut = shared = False
         if accelerated:
-            # y is x_k at k = 1 (x_prev is x_cur) and k = 2 (t_prev = 1) after a
-            # z-accept; with one previous result, both sites solve one subproblem
-            shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0) and res_z is last_v
+            # y is x_k at k = 1 (x_prev is x_cur) and at k = 2 (t_prev = 1) after a
+            # z-accept or shortcut: then the z result is the monitor's result
+            shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0)
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, _momentum_next(t_cur)
             _, grad_y = loss.eval(y)
@@ -402,12 +406,12 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             z_step_sq = _sq_norm(z - y)
             shortcut = nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq
 
-        res_v = f_v = v_step_sq = None
+        f_v = v_step_sq = None
         if shortcut:
-            branch = "shortcut"
+            branch, res_v = "shortcut", None
         else:  # the monitor step, which pg/ipg take alone
-            res_v = res_z if shared else prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, last_v)
-            last_v = res_v
+            warm = res_z if accelerated else res_v  # this iteration's z result, near x_k's subproblem
+            res_v = res_z if shared else prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, warm)
             f_v, grad_v = _objective(loss, res_v, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:

@@ -131,3 +131,60 @@ def test_counts_ranks_and_seeds_reject_bools(name, flag):
     COUNT_CALLS[name](np.int64(1))
     with pytest.raises(ValueError):
         COUNT_CALLS[name](flag)
+
+
+@pytest.mark.parametrize("gamma", (np.inf, np.nan, 0.0, -1.0))
+def test_step_sizes_must_be_positive_and_finite(gamma):
+    # an infinite step once ran nan arithmetic into a failed SVD, and passed
+    # SolverConfig's check to be refused by the loop only when L > 0
+    prox_tracelasso_inexact(np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO)
+    SolverConfig(max_iters=1, solver_kind="ipg", gamma=0.5)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        prox_tracelasso_inexact(np.array([0.5, -1.0, 2.0]), gamma, TRACE_LASSO)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        SolverConfig(max_iters=1, solver_kind="ipg", gamma=gamma)
+
+
+def _tracelasso_dual():
+    return prox_tracelasso_inexact(np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO).dual
+
+
+@pytest.mark.parametrize(
+    "w0",
+    (
+        lambda w: w[:, :-1],  # a column short
+        lambda w: w.ravel(),
+        lambda w: np.where(np.eye(*w.shape, dtype=bool), np.nan, w),
+        lambda w: np.full_like(w, np.inf),
+    ),
+    ids=("short", "1-D", "nan", "inf"),
+)
+def test_tracelasso_warm_start_must_be_finite_and_dual_shaped(w0):
+    y = np.array([0.5, -1.0, 2.0])
+    dual = _tracelasso_dual()
+    prox_tracelasso_inexact(y, 0.5, TRACE_LASSO, w0=dual)
+    with pytest.raises(ValueError, match="w0 must be a finite array"):
+        prox_tracelasso_inexact(y, 0.5, TRACE_LASSO, w0=w0(dual))
+
+
+RANK_Y = np.random.default_rng(0).standard_normal((8, 6))
+
+
+@pytest.mark.parametrize("mode", ("power", "residual"))
+@pytest.mark.parametrize(
+    "v0",
+    (
+        np.ones((6, 1)),  # fewer than r = 3 columns: certified a rank-1 point
+        np.ones((6, 2)),
+        np.ones(6),
+        np.ones((8, 3)),  # rows of the wrong side
+        np.full((6, 3), np.nan),
+    ),
+    ids=("1-column", "2-column", "1-D", "wrong-rows", "nan"),
+)
+def test_rank_warm_start_needs_m_rows_and_r_finite_columns(mode, v0):
+    for good in (np.eye(6, 3), np.eye(6, 5)):  # r columns, or oversampled
+        prox_rank(RANK_Y, 3, mode=mode, v0=good)
+    for y in (RANK_Y, RANK_Y.T):  # a wide y iterates its transpose
+        with pytest.raises(ValueError, match="v0 must be a finite 2-D array with 6 rows"):
+            prox_rank(y, 3, mode=mode, v0=v0)

@@ -39,15 +39,22 @@ def test_trace_keys_prints_one_hash_per_pair():
 
 
 def test_kind_times_prints_one_row_per_application():
-    lines = run_script("kind_times.py", "--max-iters", "2", "--runs", "1")
-    assert lines[0] == "| application | " + " | ".join(SOLVER_KINDS) + " |"
-    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
-    assert [row[0] for row in rows] == list(APPLICATIONS)
-    for app, *cells in rows:
-        assert len(cells) == len(SOLVER_KINDS)
-        for kind, text in zip(SOLVER_KINDS, cells):
+    lines = run_script("kind_times.py", "--max-iters", "2", "--runs", "2")
+    blank = lines.index("")
+    times, work = lines[:blank], lines[blank + 1 :]
+    for table in (times, work):
+        assert table[0] == "| application | " + " | ".join(SOLVER_KINDS) + " |"
+    time_rows = [[c.strip() for c in line.strip("|").split("|")] for line in times[2:]]
+    work_rows = [[c.strip() for c in line.strip("|").split("|")] for line in work[2:]]
+    assert [row[0] for row in time_rows] == [row[0] for row in work_rows] == list(APPLICATIONS)
+    for (app, *cells), (_, *inner) in zip(time_rows, work_rows):
+        assert len(cells) == len(inner) == len(SOLVER_KINDS)
+        for kind, text, count in zip(SOLVER_KINDS, cells, inner):
             if app == "robust_tracelasso" and kind in EXACT_KINDS:
-                assert text == "n/a"
+                assert text == count == "n/a"
             else:
                 value, unit = text.split()
                 assert unit == "ms" and float(value) >= 0
+                # only the inexact trace-lasso and rank proxes iterate
+                iterative = kind not in EXACT_KINDS and app in ("robust_tracelasso", "link_prediction")
+                assert (int(count) > 0) == iterative
