@@ -6,17 +6,17 @@ whitespace-separated `i j s` per line with 0-based indices and s in {+1,-1}.
 Trace CSV: the exact header in TRACE_HEADER, floats written with 17
 significant digits so values round-trip losslessly.
 
-The regression CSV body and the sign triplets after line 1 are parsed by
-numpy's C reader (`np.loadtxt` on the open file, streamed line by line).
-Where it refuses a file (it raises or warns, a CSV body line gives no row,
-or the dataset rejects the arrays), a per-line Python loop reads the file
-again: it names the first faulty line, or loads what only Python's
-parsers accept (quoted CSV fields, `1_0`, non-ASCII digits), so every file
-loads to the same arrays either way. numpy's float parsing was checked
-bit-identical to float() on numpy 2.4.6 only.
+numpy's C reader (`np.loadtxt`, streamed over the open file) is the one
+parser of the regression CSV body and of the sign triplets after line 1,
+and line 1 is held to the triplets' integer rule. Where it refuses a file
+(it raises or warns, a CSV body line gives no row, or the dataset rejects
+the arrays), a locator reads the file again and raises ValueError naming
+the first faulty line. It judges each line by numpy's parse of that line
+alone and by checks on the parsed row, never by a second parser.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import warnings
@@ -104,35 +104,26 @@ def load_regression_csv(path):
                 yield line
 
         table = _loadtxt(body(), delimiter=",")
-    # numpy skips blank lines, which the line loop rejects, so every line must give a row
+    # numpy skips blank lines, which the format rejects, so every line must give a row
     if table is not None and table.shape == (n_lines, width):
-        try:
+        with contextlib.suppress(ValueError):
             return RegressionDataset(np.ascontiguousarray(table[:, 1:]), table[:, 0].copy())
-        except ValueError:
-            pass
-    return _load_regression_csv_by_line(path)
+    _raise_at_faulty_csv_line(path, width)
 
 
-def _load_regression_csv_by_line(path):
-    """The line loop: names the first faulty line, and accepts what Python's
-    csv and float() accept beyond numpy (quoted fields, `1_0`, non-ASCII digits)."""
+def _raise_at_faulty_csv_line(path, width):
+    """The error path of load_regression_csv: name the first body line that
+    is not `width` finite numbers."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        width = _read_regression_header(path, reader)
-        targets = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            targets.append(values[0])
-            rows.append(values[1:])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return RegressionDataset(np.array(rows), np.array(targets))
+        next(csv.reader(fh))  # the header, checked already
+        for lineno, line in enumerate(fh, start=2):
+            n_fields = line.count(",") + 1 if line.strip("\r\n") else 0
+            if n_fields != width:
+                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {n_fields}")
+            row = _loadtxt([line], delimiter=",")
+            if row is None or not np.isfinite(row).all():
+                raise ValueError(f"{path}: line {lineno}: expected {width} finite numbers")
+    raise ValueError(f"{path}: no data rows")
 
 
 def write_sign_triplets(path, observed):
@@ -144,13 +135,12 @@ def write_sign_triplets(path, observed):
 
 
 def _read_user_count(path, fh):
-    try:
-        n_users = int(fh.readline().strip())
-    except ValueError:
-        raise ValueError(f"{path}: line 1: expected the user count") from None
-    if n_users < 1:
+    count = _loadtxt([fh.readline()], dtype=np.int64)
+    if count is None or count.shape != (1, 1):
+        raise ValueError(f"{path}: line 1: expected the user count")
+    if count[0, 0] < 1:
         raise ValueError(f"{path}: line 1: the user count must be positive")
-    return n_users
+    return count.item()
 
 
 def load_sign_triplets(path):
@@ -159,45 +149,34 @@ def load_sign_triplets(path):
         n_users = _read_user_count(path, fh)
         table = _loadtxt(fh, dtype=np.int64)
     if table is not None and table.shape[1] == 3:
-        try:
+        with contextlib.suppress(ValueError):
             return ObservedSignMatrix(n_users, *table.T)
-        except ValueError:
-            pass
-    return _load_sign_triplets_by_line(path)
+    _raise_at_faulty_triplet_line(path, n_users)
 
 
-def _load_sign_triplets_by_line(path):
-    """The line loop: names the first faulty line, and accepts what Python's
-    int() accepts beyond numpy (`1_0`, non-ASCII digits)."""
+def _raise_at_faulty_triplet_line(path, n_users):
+    """The error path of load_sign_triplets: name the first line that is
+    neither blank nor an in-range, signed `i j s` seen for the first time."""
+    first_seen = {}
     with path.open() as fh:
-        n_users = _read_user_count(path, fh)
-        rows, cols, signs = [], [], []
-        seen = {}
+        fh.readline()  # the user count, checked already
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'i j s'")
-            try:
-                i, j, s = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
-            if s not in (1, -1):
-                raise ValueError(f"{path}: line {lineno}: sign must be +1 or -1")
-            if not (0 <= i < n_users and 0 <= j < n_users):
-                raise ValueError(f"{path}: line {lineno}: index outside [0, {n_users})")
-            if (i, j) in seen:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate entry ({i}, {j}) first seen on line {seen[i, j]}"
-                )
-            seen[i, j] = lineno
-            rows.append(i)
-            cols.append(j)
-            signs.append(float(s))
-    if not rows:
-        raise ValueError(f"{path}: no observations")
-    return ObservedSignMatrix(n_users, np.array(rows), np.array(cols), np.array(signs))
+            row = _loadtxt([line], dtype=np.int64)
+            if row is None or row.shape[1] != 3:
+                fault = "expected three integers 'i j s'"
+            elif row[0, 2] not in (1, -1):
+                fault = "sign must be +1 or -1"
+            elif not (0 <= row[0, :2].min() and row[0, :2].max() < n_users):
+                fault = f"index outside [0, {n_users})"
+            elif (entry := tuple(row[0, :2].tolist())) in first_seen:
+                fault = f"duplicate entry {entry} first seen on line {first_seen[entry]}"
+            else:
+                first_seen[entry] = lineno
+                continue
+            raise ValueError(f"{path}: line {lineno}: {fault}")
+    raise ValueError(f"{path}: no observations")
 
 
 @dataclass(slots=True)

@@ -393,7 +393,10 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     penalty.value(point). The gap is a raw float64 difference, with no pad.
     w0 warm-starts W from a previous result's dual, which is feasible: the
     first gap is taken at w0 itself, so a w0 outside the ball can certify
-    less than the true gap. Its shape and finiteness are checked.
+    less than the true gap. Its shape is checked, and so are two O(d^2)
+    necessary conditions of the ball, which every projected dual meets:
+    max |w0_ij| and ||w0||_F^2 / min(w0.shape) are at most 1 + 1e-12. A w0
+    just outside the ball passes both.
     """
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
@@ -405,8 +408,12 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     _check_eps_target(eps_target)
     penalty._check_dim(y)
     lam_r = penalty._lam_factor
-    if w0 is not None and not (np.shape(w0) == lam_r.shape and np.isfinite(w0).all()):
-        raise ValueError(f"w0 must be a finite array of shape {lam_r.shape}")
+    # a nan entry fails the first test, as an inf one does
+    if w0 is not None and not (
+        np.shape(w0) == lam_r.shape and np.abs(w0).max() <= 1.0 + 1e-12
+        and np.vdot(w0, w0) <= min(lam_r.shape) * (1.0 + 1e-12)
+    ):
+        raise ValueError(f"w0 must be a finite array of shape {lam_r.shape} in the unit operator-norm ball")
     lip = gamma * penalty._dual_lipschitz
     if lip == 0.0:
         return ProxResult(y.copy(), 0.0, 0, [], True, value=penalty._value(y))

@@ -19,11 +19,12 @@ monitor warm-starts from the z result of the same iteration, whose anchor
 y_k - gamma * grad g(y_k) is near its own; pg/ipg chain their monitor results.
 At k = 1 the momentum point y_1 is x_0, and at k = 2, after the z-accept or
 shortcut that k = 1 ends in, y_2 is x_1. There both sites have one
-subproblem, so the v site takes the z site's result and makes no prox call;
-the record's inner_iters counts that call once, and its monitor_inner_iters
-is 0. y is still evaluated at those iterations, although it equals x_k, so
-apg and aipg make three loss evaluations on every iteration (TestOracleCalls
-pins the counts).
+subproblem, so the v site takes the z site's result, objective and gradient,
+and makes no prox call and no loss evaluation; the record's inner_iters
+counts that call once, and its monitor_inner_iters is 0. y equals x_k there
+up to the sign of zero entries, so the z anchor steps from the gradient the
+loop holds at x_k. apg and aipg thus evaluate the loss once at k = 1 and 2
+and three times on every later iteration (TestOracleCalls pins the counts).
 
 The loop's n x n arithmetic builds one fresh array per expression (_anchor,
 extrapolate, _sq_norm), bit-equal to the plain numpy expressions, and keeps
@@ -399,7 +400,7 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0)
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, _momentum_next(t_cur)
-            _, grad_y = loss.eval(y)
+            grad_y = grad_cur if shared else loss.eval(y)[1]  # y is x_k up to the sign of zeros
             res_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
             z = res_z.point
             f_z, grad_z = _objective(loss, res_z, k, kind, records)
@@ -410,9 +411,12 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         if shortcut:
             branch, res_v = "shortcut", None
         else:  # the monitor step, which pg/ipg take alone
-            warm = res_z if accelerated else res_v  # this iteration's z result, near x_k's subproblem
-            res_v = res_z if shared else prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, warm)
-            f_v, grad_v = _objective(loss, res_v, k, kind, records)
+            if shared:
+                res_v, f_v, grad_v = res_z, f_z, grad_z
+            else:
+                warm = res_z if accelerated else res_v  # this iteration's z result, near x_k's subproblem
+                res_v = prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, warm)
+                f_v, grad_v = _objective(loss, res_v, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:
                 branch = "prox"

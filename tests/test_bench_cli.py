@@ -186,7 +186,9 @@ class TestRunExperiment:
         assert rows[-1].branch == "failed"
         assert all(r.branch != "failed" for r in rows[:-1])
 
-    @pytest.mark.parametrize("kind, failed_at", [("pg", 3), ("aipg", 2)])  # one basic, one accelerated kind
+    # one basic, one accelerated kind; aipg evaluates only z at k = 1 and 2, so its
+    # third evaluation is z at k = 2, and the NaN gradient reaches a point at k = 3
+    @pytest.mark.parametrize("kind, failed_at", [("pg", 3), ("aipg", 3)])
     def test_nonfinite_iterate_keeps_completed_rows(self, kind, failed_at):
         class NanGradientLoss:
             """A square loss whose gradients turn NaN from the third evaluation on."""

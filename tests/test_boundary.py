@@ -156,8 +156,9 @@ def _tracelasso_dual():
         lambda w: w.ravel(),
         lambda w: np.where(np.eye(*w.shape, dtype=bool), np.nan, w),
         lambda w: np.full_like(w, np.inf),
+        lambda w: 5.0 * np.random.default_rng(0).standard_normal(w.shape),  # far outside the ball
     ),
-    ids=("short", "1-D", "nan", "inf"),
+    ids=("short", "1-D", "nan", "inf", "outside-the-ball"),
 )
 def test_tracelasso_warm_start_must_be_finite_and_dual_shaped(w0):
     y = np.array([0.5, -1.0, 2.0])

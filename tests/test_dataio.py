@@ -10,8 +10,6 @@ from iprox import dataio
 from iprox.dataio import (
     TRACE_HEADER,
     TraceRow,
-    _load_regression_csv_by_line,
-    _load_sign_triplets_by_line,
     load_regression_csv,
     load_sign_triplets,
     load_trace_csv,
@@ -31,8 +29,11 @@ class TestRegressionCsv:
         dataset, _ = gen_grouped_regression(25, 7, 3, noise_sd=0.05, seed=1)
         path = write_regression_csv(tmp_path / "data.csv", dataset)
         loaded = load_regression_csv(path)
-        np.testing.assert_array_equal(loaded.design, dataset.design)
-        np.testing.assert_array_equal(loaded.targets, dataset.targets)
+        for name in ("design", "targets"):
+            a, b = getattr(loaded, name), getattr(dataset, name)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -58,10 +59,14 @@ class TestRegressionCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_regression_csv(path)
 
-    def test_non_numeric_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n_good, bad", [(1, "abc,2.0"), (3000, "abc,2.0"), (1, "nan,2.0"), (2500, "1.0,-inf")],
+        ids=["text", "text-after-3000-lines", "nan", "inf-after-2500-lines"],
+    )
+    def test_non_numeric_names_line(self, tmp_path, n_good, bad):
         path = tmp_path / "text.csv"
-        path.write_text("target,f0\n1.0,2.0\nabc,2.0\n")
-        with pytest.raises(ValueError, match="line 3"):
+        path.write_text("target,f0\n" + "1.0,2.0\n" * n_good + f"{bad}\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=f"text.csv: line {n_good + 2}: expected 2 finite numbers"):
             load_regression_csv(path)
 
     def test_header_only_rejected(self, tmp_path):
@@ -83,40 +88,22 @@ class TestRegressionCsv:
         np.testing.assert_array_equal(loaded.design, [[-2.0, 3e-3], [4.0, 5.0]])
         assert loaded.targets.tobytes() == np.array([1.5, -0.0]).tobytes()
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [('"1.5"', 1.5), ("1_5", 15.0), ("\u0661\u0665", 15.0)],
-        ids=["quoted", "underscore", "arabic-indic"],
-    )
-    def test_fields_only_the_line_loop_parses_still_load(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field", ['"1.5"', "1_5", "\u0661\u0665"], ids=["quoted", "underscore", "arabic-indic"])
+    def test_fields_only_python_parses_name_their_line(self, tmp_path, field):
+        # Python's csv and float() read these spellings; numpy, the one parser, does not
         path = tmp_path / "python-only.csv"
-        path.write_text(f"target,f0\n{field},2.5\n", encoding="utf-8")
-        with path.open(newline="") as fh:
-            fh.readline()
-            with pytest.raises(ValueError):
-                np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        loaded = load_regression_csv(path)
-        np.testing.assert_array_equal(loaded.targets, [value])
-        np.testing.assert_array_equal(loaded.design, [[2.5]])
+        path.write_text(f"target,f0\n1.0,2.0\n{field},2.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="python-only.csv: line 3: expected 2 finite numbers"):
+            load_regression_csv(path)
 
-    def test_numpy_path_matches_the_line_loop(self, tmp_path):
-        dataset, _ = gen_grouped_regression(40, 9, 3, noise_sd=0.05, seed=5)
-        path = write_regression_csv(tmp_path / "data.csv", dataset)
-        fast, slow = load_regression_csv(path), _load_regression_csv_by_line(path)
-        for name in ("design", "targets"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-            assert a.flags.c_contiguous
-
-    def test_well_formed_file_skips_the_line_loop(self, tmp_path, monkeypatch):
+    def test_well_formed_file_never_reaches_the_locator(self, tmp_path, monkeypatch):
         dataset, _ = gen_grouped_regression(12, 4, 2, noise_sd=0.05, seed=6)
         path = write_regression_csv(tmp_path / "data.csv", dataset)
 
-        def refuse(path):
-            raise AssertionError("line loop reached")
+        def refuse(*args):
+            raise AssertionError("locator reached")
 
-        monkeypatch.setattr(dataio, "_load_regression_csv_by_line", refuse)
+        monkeypatch.setattr(dataio, "_raise_at_faulty_csv_line", refuse)
         np.testing.assert_array_equal(load_regression_csv(path).design, dataset.design)
 
     def test_golden_bytes(self, tmp_path):
@@ -142,9 +129,10 @@ class TestSignTriplets:
         path = write_sign_triplets(tmp_path / "signs.txt", obs)
         loaded = load_sign_triplets(path)
         assert loaded.n_users == 12
-        np.testing.assert_array_equal(loaded.rows, obs.rows)
-        np.testing.assert_array_equal(loaded.cols, obs.cols)
-        np.testing.assert_array_equal(loaded.signs, obs.signs)
+        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("signs", np.float64)):
+            a, b = getattr(loaded, name), getattr(obs, name)
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_written_signs_are_explicit(self, tmp_path):
         obs, _ = gen_signed_lowrank(6, 1, 0.5, seed=3)
@@ -154,9 +142,11 @@ class TestSignTriplets:
         for line in lines[1:]:
             assert line.split()[2] in ("+1", "-1")
 
-    def test_bad_user_count(self, tmp_path):
+    @pytest.mark.parametrize("count", ["not-a-number", "1_0", "\u0663"], ids=["text", "underscore", "arabic-indic"])
+    def test_bad_user_count(self, tmp_path, count):
+        # line 1 is held to the body's integer rule: numpy's, not Python's int()
         path = tmp_path / "bad.txt"
-        path.write_text("not-a-number\n0 1 +1\n")
+        path.write_text(f"{count}\n0 1 +1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_sign_triplets(path)
 
@@ -172,10 +162,16 @@ class TestSignTriplets:
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             load_sign_triplets(path)
 
-    def test_duplicate_names_both_lines(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, lines",
+        [("4\n0 1 +1\n2 2 -1\n0 1 -1\n", (4, 2)), ("4\n0 1 +1\n\n  \n0 1 -1\n", (5, 2))],
+        ids=["adjacent", "after-blank-lines"],
+    )
+    def test_duplicate_names_both_lines(self, tmp_path, text, lines):
+        # blank lines give no row, so the message counts lines of the file, not rows
         path = tmp_path / "dup.txt"
-        path.write_text("4\n0 1 +1\n2 2 -1\n0 1 -1\n")
-        with pytest.raises(ValueError, match="line 4.*line 2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"line %d: duplicate entry \(0, 1\) first seen on line %d" % lines):
             load_sign_triplets(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -204,15 +200,13 @@ class TestSignTriplets:
         with pytest.raises(ValueError, match="users.txt: line 1: the user count must be positive"):
             load_sign_triplets(path)
 
-    @pytest.mark.parametrize(
-        "line, row", [("1_0 1 +1", 10), ("\u0661 2 -1", 1)], ids=["underscore", "arabic-indic"]
-    )
-    def test_integers_only_the_line_loop_parses_still_load(self, tmp_path, line, row):
+    @pytest.mark.parametrize("line", ["1_0 1 +1", "\u0661 2 -1"], ids=["underscore", "arabic-indic"])
+    def test_integers_only_python_parses_name_their_line(self, tmp_path, line):
+        # Python's int() reads these spellings; numpy, the one parser, does not
         path = tmp_path / "python-only.txt"
-        path.write_text(f"20\n{line}\n3 4 +1\n", encoding="utf-8")
-        loaded = load_sign_triplets(path)
-        np.testing.assert_array_equal(loaded.rows, [row, 3])
-        assert loaded.rows.dtype == np.int64
+        path.write_text(f"20\n3 4 +1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="python-only.txt: line 3: expected three integers"):
+            load_sign_triplets(path)
 
     def test_crlf_file_loads(self, tmp_path):
         path = tmp_path / "crlf.txt"
@@ -221,24 +215,14 @@ class TestSignTriplets:
         np.testing.assert_array_equal(loaded.cols, [1, 2])
         np.testing.assert_array_equal(loaded.signs, [1.0, -1.0])
 
-    def test_numpy_path_matches_the_line_loop(self, tmp_path):
-        obs, _ = gen_signed_lowrank(30, 2, 0.3, seed=7)
-        path = write_sign_triplets(tmp_path / "signs.txt", obs)
-        fast, slow = load_sign_triplets(path), _load_sign_triplets_by_line(path)
-        assert fast.n_users == slow.n_users == 30
-        for name in ("rows", "cols", "signs"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
-
-    def test_well_formed_file_skips_the_line_loop(self, tmp_path, monkeypatch):
+    def test_well_formed_file_never_reaches_the_locator(self, tmp_path, monkeypatch):
         obs, _ = gen_signed_lowrank(10, 2, 0.4, seed=8)
         path = write_sign_triplets(tmp_path / "signs.txt", obs)
 
-        def refuse(path):
-            raise AssertionError("line loop reached")
+        def refuse(*args):
+            raise AssertionError("locator reached")
 
-        monkeypatch.setattr(dataio, "_load_sign_triplets_by_line", refuse)
+        monkeypatch.setattr(dataio, "_raise_at_faulty_triplet_line", refuse)
         np.testing.assert_array_equal(load_sign_triplets(path).rows, obs.rows)
 
     def test_golden_bytes(self, tmp_path):

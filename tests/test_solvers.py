@@ -656,7 +656,8 @@ def reference_from_scratch(loss, penalty, x0, gamma, kind, iters, delta=0.6):
 class TestOracleCalls:
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
     def test_one_loss_eval_per_evaluated_point(self, kind):
-        # pg: f and grad at each new point; apg: at y, z and v; nmapg skips v on shortcuts
+        # pg: f and grad at each new point; apg: at y, z and v; nmapg skips v on shortcuts.
+        # At k = 1 and 2 of the accelerated kinds y is x_k and v is z: z alone is evaluated
         loss, penalty, x0 = oscar_instance(seed=2)
         counting = CountingLoss(loss)
         cfg = SolverConfig(max_iters=40, solver_kind=kind, gamma=0.4 / loss.lipschitz())
@@ -666,11 +667,11 @@ class TestOracleCalls:
         if kind in ("pg", "ipg"):
             expected = 1 + iters
         elif kind in ("apg", "aipg"):
-            expected = 1 + 3 * iters
+            expected = 1 + 2 + 3 * (iters - 2)
         else:
-            shortcuts = branches.count("shortcut")
-            assert 0 < shortcuts < iters
-            expected = 1 + 2 * shortcuts + 3 * (iters - shortcuts)
+            shortcuts = branches[2:].count("shortcut")
+            assert 0 < shortcuts < iters - 2
+            expected = 1 + 2 + 2 * shortcuts + 3 * (iters - 2 - shortcuts)
         assert counting.evals == expected
 
     @pytest.mark.parametrize(
@@ -915,7 +916,8 @@ class TestRankPowerRuns:
 
     def test_shortcut_at_k_1_then_monitored_k_2_shares_one_call(self, monkeypatch):
         # a shortcut at k = 1 leaves y_2 = x_1 = z_1, so at k = 2 the v site
-        # has z's subproblem and takes z's result, whatever the sites held before
+        # has z's subproblem and takes z's result, whatever the sites held before;
+        # v is then z, so the monitored step accepts z
         prob = build_problem("link_prediction", seed=0, params={"n_users": 30})
         calls = []
         real = solvers_mod.prox_rank
@@ -925,7 +927,7 @@ class TestRankPowerRuns:
             calls.append((kwargs["v0"], res))
             return res
 
-        class ScriptedValues:  # z's value forces the shortcut at k = 1 and rejects z at k = 2
+        class ScriptedValues:  # z's value forces the shortcut at k = 1 and blocks it at k = 2
             def __init__(self, loss):
                 self.loss, self.calls = loss, 0
 
@@ -935,14 +937,14 @@ class TestRankPowerRuns:
             def eval(self, x):
                 value, grad = self.loss.eval(x)
                 self.calls += 1
-                return {3: -1e9, 5: 1e9}.get(self.calls, value), grad
+                return {2: -1e9, 3: 1e9}.get(self.calls, value), grad  # x_0, then z at k = 1 and 2
 
         monkeypatch.setattr(solvers_mod, "prox_rank", recording)
         trace = run_solver(
             ScriptedValues(prob.loss), prob.regularizer, prob.x0,
             SolverConfig(max_iters=2, solver_kind="nmaipg"),
         )
-        assert [r.branch for r in trace.records[1:]] == ["shortcut", "v-accepted"]
+        assert [r.branch for r in trace.records[1:]] == ["shortcut", "z-accepted"]
         assert len(calls) == 2
         assert calls[0][0] is None and calls[1][0] is calls[0][1].dual
         rec, res = trace.records[2], calls[1][1]
