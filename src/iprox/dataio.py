@@ -12,7 +12,11 @@ and line 1 is held to the triplets' integer rule. Where it refuses a file
 (it raises or warns, a CSV body line gives no row, or the dataset rejects
 the arrays), a locator reads the file again and raises ValueError naming
 the first faulty line. It judges each line by numpy's parse of that line
-alone and by checks on the parsed row, never by a second parser.
+alone and by checks on the parsed row, never by a second parser. The CSV
+locator parses line by line; the triplet locator parses blocks of lines,
+one call each, and halves only a refused block, so it reaches a line alone
+only where numpy refuses it, and checks the rows it parsed with array
+operations.
 """
 from __future__ import annotations
 
@@ -157,26 +161,52 @@ def load_sign_triplets(path):
 def _raise_at_faulty_triplet_line(path, n_users):
     """The error path of load_sign_triplets: name the first line that is
     neither blank nor an in-range, signed `i j s` seen for the first time."""
-    first_seen = {}
     with path.open() as fh:
         fh.readline()  # the user count, checked already
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
-            row = _loadtxt([line], dtype=np.int64)
-            if row is None or row.shape[1] != 3:
-                fault = "expected three integers 'i j s'"
-            elif row[0, 2] not in (1, -1):
-                fault = "sign must be +1 or -1"
-            elif not (0 <= row[0, :2].min() and row[0, :2].max() < n_users):
-                fault = f"index outside [0, {n_users})"
-            elif (entry := tuple(row[0, :2].tolist())) in first_seen:
-                fault = f"duplicate entry {entry} first seen on line {first_seen[entry]}"
-            else:
-                first_seen[entry] = lineno
-                continue
-            raise ValueError(f"{path}: line {lineno}: {fault}")
-    raise ValueError(f"{path}: no observations")
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2) if not line.isspace()]
+    linenos = [lineno for lineno, _ in numbered]
+    rows, n_parsed = _parse_triplet_prefix([line for _, line in numbered])
+    i, j, s = rows.T
+    misfit = ((s != 1) & (s != -1)) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_users)
+    n_fit = int(np.argmax(misfit)) if misfit.any() else len(rows)
+    # the row index of each fitting row's first copy
+    _, first, inverse = np.unique(rows[:n_fit, :2], axis=0, return_index=True, return_inverse=True)
+    copy_of = first[inverse]
+    repeats = np.flatnonzero(copy_of != np.arange(n_fit))
+    if repeats.size:
+        at = repeats[0]
+        fault = f"duplicate entry {tuple(rows[at, :2].tolist())} first seen on line {linenos[copy_of[at]]}"
+    elif n_fit < len(rows):
+        at = n_fit
+        fault = "sign must be +1 or -1" if s[at] not in (1, -1) else f"index outside [0, {n_users})"
+    elif n_parsed < len(linenos):
+        at = n_parsed
+        fault = "expected three integers 'i j s'"
+    else:
+        raise ValueError(f"{path}: no observations")
+    raise ValueError(f"{path}: line {linenos[at]}: {fault}")
+
+
+def _parse_triplet_prefix(lines):
+    """Rows of the longest prefix of `lines` that numpy parses as one
+    `i j s` row per line, and that prefix's length.
+
+    A block of lines parses in one call. A refused block is halved and its
+    halves parsed in turn, so a fault costs about 2 log2(len(lines)) calls,
+    not one per line; the first line refused alone ends the prefix.
+    """
+    blocks, lo, ends = [np.empty((0, 3), dtype=np.int64)], 0, [len(lines)] if lines else []
+    while ends:
+        hi = ends[-1]
+        rows = _loadtxt(lines[lo:hi], dtype=np.int64)
+        if rows is not None and rows.shape == (hi - lo, 3):
+            blocks.append(rows)
+            lo = ends.pop()
+        elif hi - lo == 1:
+            break
+        else:
+            ends.append((lo + hi) // 2)
+    return np.concatenate(blocks), lo
 
 
 @dataclass(slots=True)

@@ -3,10 +3,12 @@
 Every penalty exposes value(x); the convex ones also expose subgradient(x)
 and carry is_convex = True so sampling-based subgradient checks know they
 apply. value checks its input; the L1, OSCAR and trace-lasso penalties
-also have _value, the same number without the check. The solver loop's
-OSCAR prox site calls it on its output, and the trace-lasso prox on each
-dual iterate's primal point, as its duality gap's primal term (the L1
-prox site sums the magnitudes it has just thresholded).
+also have _value, the same number without the check. The trace-lasso prox
+calls it on each dual iterate's primal point, as its duality gap's primal
+term. OSCAR's value is the dot of its ascending weights with the ascending
+magnitudes, one sort and no ranks; the solver loop's OSCAR prox site takes
+the magnitudes from its pool's order instead of sorting again, and the L1
+site sums the magnitudes it has just thresholded.
 """
 from __future__ import annotations
 
@@ -56,7 +58,10 @@ class OscarPenalty:
     """lambda1 * ||x||_1 + lambda2 * sum_{i<j} max(|x_i|, |x_j|).
 
     Evaluated through the equivalent sorted form: the coordinate with the
-    k-th smallest magnitude carries weight lambda1 + lambda2*(k-1).
+    k-th smallest magnitude carries weight lambda1 + lambda2*(k-1), so the
+    value is the dot of _ascending_weights(n) with np.sort(|x|). Ties carry
+    equal magnitudes, so the value does not depend on how they are ranked,
+    and it is the same bits under any permutation or sign flip of x.
     """
 
     lambda1: float
@@ -67,19 +72,20 @@ class OscarPenalty:
         check_finite_nonneg(self.lambda1, "lambda1")
         check_finite_nonneg(self.lambda2, "lambda2")
 
-    def _weights(self, a):
-        return self.lambda1 + self.lambda2 * (_ascending_ranks(a) - 1)
+    def _ascending_weights(self, n):
+        """lambda1 + lambda2*k for k = 0..n-1: the weight of the (k+1)-th
+        smallest magnitude of a length-n point."""
+        return self.lambda1 + self.lambda2 * np.arange(n)
 
     def value(self, x):
         return self._value(as_vector(x))
 
     def _value(self, x):
-        a = np.abs(x)
-        return float(self._weights(a) @ a)
+        return float(self._ascending_weights(x.shape[0]) @ np.sort(np.abs(x)))
 
     def subgradient(self, x):
         x = as_vector(x)
-        return self._weights(np.abs(x)) * np.sign(x)
+        return self._ascending_weights(x.shape[0])[_ascending_ranks(np.abs(x)) - 1] * np.sign(x)
 
 
 @dataclass(frozen=True, eq=False)

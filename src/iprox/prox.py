@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_finite_nonneg, check_rank, is_int, truncated_svd_exact
+from .linalg import as_matrix, as_vector, check_rank, is_int, truncated_svd_exact
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
@@ -168,24 +168,29 @@ def prox_oscar_exact(y, gamma, lambda1, lambda2):
     y = as_vector(y)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    check_finite_nonneg(lambda1, "lambda1")
-    check_finite_nonneg(lambda2, "lambda2")
-    return _prox_oscar_exact(y, gamma, lambda1, lambda2)
+    penalty = OscarPenalty(lambda1, lambda2)  # checks both weights
+    return _prox_oscar_exact(y, _oscar_ramp(penalty, y.shape[0], gamma))[0]
 
 
-def _prox_oscar_exact(y, gamma, lambda1, lambda2):
-    """prox_oscar_exact without the checks, for callers that hold valid inputs."""
-    n = y.shape[0]
-    if n == 0:
-        return y.copy()
+def _oscar_ramp(penalty, n, gamma):
+    """gamma * (lambda1 + lambda2 * (n - 1 - i)): the shrinkage of the i-th
+    largest of n magnitudes, the penalty's ascending weights reversed."""
+    return gamma * penalty._ascending_weights(n)[::-1]
+
+
+def _prox_oscar_exact(y, ramp):
+    """prox_oscar_exact without the checks, given its shrinkage ramp.
+
+    Returns the point and the pool's order, the stable descending argsort
+    of |y|. |point| is non-increasing in that order, so |point| read in
+    reverse pool order is np.sort(|point|), bit for bit.
+    """
     mag = np.abs(y)
     order = np.argsort(-mag, kind="stable")
-    a = mag[order]
-    w = gamma * (lambda1 + lambda2 * np.arange(n - 1, -1, -1))
-    x_sorted = np.maximum(_pav_nonincreasing(a - w), 0.0)
-    out = np.empty(n)
+    x_sorted = np.maximum(_pav_nonincreasing(mag[order] - ramp), 0.0)
+    out = np.empty(y.shape[0])
     out[order] = x_sorted * np.sign(y)[order]
-    return out
+    return out, order
 
 
 def _sorted_weight_params(regularizer):
@@ -228,7 +233,7 @@ def prox_oscar_inexact(y, gamma, lambda1, lambda2, eps_target):
     sub = ProxSubproblem(y, gamma, OscarPenalty(lambda1, lambda2))
     if not eps_target >= 0:
         raise ValueError("eps_target must be non-negative")
-    pool = _prox_oscar_exact(y, gamma, lambda1, lambda2)
+    pool, _ = _prox_oscar_exact(y, _oscar_ramp(sub.regularizer, y.shape[0], gamma))
     cert = oscar_dual_gap(pool, sub)
     return ProxResult(pool, cert, 0, [cert], converged=cert <= eps_target)
 

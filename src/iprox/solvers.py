@@ -42,6 +42,7 @@ from .linalg import check_seed, is_int
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
+    _oscar_ramp,
     _prox_l1,
     _prox_oscar_exact,
     prox_rank,
@@ -246,7 +247,12 @@ def _make_prox(penalty, use_exact, config):
     sign(a) * mag has |point| = mag exactly, so the value is bit-equal to
     the penalty's there. The point is not np.copysign(mag, a): at a = -0.0
     that is -0.0, where np.sign(a) * mag is +0.0.
-    The OSCAR site takes the penalty's unchecked value core at the point.
+    The OSCAR site sorts once per call: it builds the shrinkage ramp and
+    the penalty's ascending weights once per (length, gamma), the pool
+    returns its descending order, and |point|, which is non-increasing in
+    that order, read in reverse is np.sort(|point|), so its dot with the
+    weights is bit-equal to the penalty's value. With lambda2 = 0 the site
+    soft-thresholds and takes the penalty's unchecked value core.
     The trace-lasso prox computes that core at each of its iterates as its
     duality gap's primal term and returns it for the point it picks, so the
     site runs no SVD of its own. Every rank-prox mode returns points of
@@ -276,10 +282,20 @@ def _make_prox(penalty, use_exact, config):
 
     if isinstance(penalty, OscarPenalty):
         l1, l2 = penalty.lambda1, penalty.lambda2
+        key = weights = ramp = None  # built once per (length, gamma)
 
         def call(anchor, gamma, eps_k, prev):
-            point = _prox_oscar_exact(anchor, gamma, l1, l2) if l2 else _prox_l1(anchor, gamma * l1)
-            return ProxResult(point, 0.0, 0, value=penalty._value(point))
+            nonlocal key, weights, ramp
+            if not l2:
+                point = _prox_l1(anchor, gamma * l1)
+                return ProxResult(point, 0.0, 0, value=penalty._value(point))
+            if key != (anchor.shape[0], gamma):
+                key = (anchor.shape[0], gamma)
+                weights = penalty._ascending_weights(key[0])
+                ramp = _oscar_ramp(penalty, key[0], gamma)
+            point, order = _prox_oscar_exact(anchor, ramp)
+            value = float(weights @ np.abs(point[order[::-1]]))
+            return ProxResult(point, 0.0, 0, value=value)
 
         return call
 

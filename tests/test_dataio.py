@@ -208,6 +208,42 @@ class TestSignTriplets:
         with pytest.raises(ValueError, match="python-only.txt: line 3: expected three integers"):
             load_sign_triplets(path)
 
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("199 59 2", r"sign must be \+1 or -1"),
+            ("199 59 x", "expected three integers"),
+            ("199 59", "expected three integers"),
+            ("0 0 +1", r"duplicate entry \(0, 0\) first seen on line 2"),
+        ],
+        ids=["bad-sign", "text", "two-fields", "duplicate"],
+    )
+    def test_fault_on_the_last_of_12000_lines_takes_few_parses(self, tmp_path, monkeypatch, last, message):
+        # the locator parses blocks of lines and halves only a refused one
+        lines = [f"{i} {j} {1 - 2 * ((i + j) % 2):+d}" for i in range(200) for j in range(60)]
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(["200", *lines[:-1], last]) + "\n")
+        calls = []
+        real = dataio._loadtxt
+
+        def counted(lines, **kwargs):
+            calls.append(1)
+            return real(lines, **kwargs)
+
+        monkeypatch.setattr(dataio, "_loadtxt", counted)
+        with pytest.raises(ValueError, match=f"big.txt: line 12001: {message}"):
+            load_sign_triplets(path)
+        assert len(calls) <= 64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["0 1 +1", "1 2 -1", "2 0 -1", "", "  ", "0 1 2", "3 0 +1", "1 x -1", "1 2", "2 2 -1 4"]), max_size=40))
+    def test_locator_names_the_line_a_per_line_scan_names(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("signs") / "mixed.txt"
+        path.write_text("\n".join(["3", *body]) + "\n")
+        with pytest.raises(ValueError) as caught:
+            dataio._raise_at_faulty_triplet_line(path, 3)
+        assert str(caught.value) == f"{path}: {_per_line_triplet_fault(body, 3)}"
+
     def test_crlf_file_loads(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"4\r\n0 1 +1\r\n3 2 -1\r\n")
@@ -235,6 +271,26 @@ class TestSignTriplets:
         path = write_sign_triplets(tmp_path / "signs.txt", obs)
         lines = [f"{i} {j} {int(s):+d}" for i, j, s in zip(obs.rows, obs.cols, obs.signs)]
         assert path.read_text().splitlines() == ["200", *lines]
+
+
+def _per_line_triplet_fault(body, n_users):
+    """The first faulty body line found by parsing each line alone."""
+    first_seen = {}
+    for lineno, line in enumerate(body, start=2):
+        if line.isspace() or not line:
+            continue
+        row = dataio._loadtxt([line], dtype=np.int64)
+        if row is None or row.shape[1] != 3:
+            return f"line {lineno}: expected three integers 'i j s'"
+        i, j, s = row[0].tolist()
+        if s not in (1, -1):
+            return f"line {lineno}: sign must be +1 or -1"
+        if not (0 <= min(i, j) and max(i, j) < n_users):
+            return f"line {lineno}: index outside [0, {n_users})"
+        if (i, j) in first_seen:
+            return f"line {lineno}: duplicate entry {(i, j)} first seen on line {first_seen[i, j]}"
+        first_seen[i, j] = lineno
+    return "no observations"
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,48 @@ class TestOscarValue:
             assert abs(p.value(x) - oscar_pairwise(x, 1.1, 0.25)) < 1e-10
 
 
+def _rank_weighted_oscar(x, l1, l2):
+    """The coordinate-order form: each |x_j| times the weight of its rank."""
+    return float((l1 + l2 * (magnitude_order(x) - 1)) @ np.abs(x))
+
+
+def _oscar_inputs(rng, n):
+    """Random, rounded (tied), zero-containing and -0.0-containing vectors."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    rounded = np.round(x, 1)
+    zeros = np.where(rng.random(n) < 0.3, 0.0, x)
+    neg_zeros = np.where(rng.random(n) < 0.3, -0.0, rounded)
+    return {"random": x, "rounded": rounded, "zeros": zeros, "neg-zeros": neg_zeros}
+
+
+class TestOscarSortedValue:
+    """value is the ascending weights dotted with np.sort(|x|): one sort,
+    no ranks, the same bits for every ordering and sign of x."""
+
+    def test_bit_invariant_under_permutations_and_sign_flips(self):
+        rng = np.random.default_rng(11)
+        p = OscarPenalty(0.7, 0.3)
+        for n in (3, 17, 200):
+            for name, x in _oscar_inputs(rng, n).items():
+                want = np.float64(p.value(x)).tobytes()
+                for _ in range(20):
+                    moved = rng.permutation(x) * rng.choice([-1.0, 1.0], n)
+                    assert np.float64(p.value(moved)).tobytes() == want, (n, name)
+
+    def test_agrees_with_the_rank_weighted_form(self):
+        rng = np.random.default_rng(12)
+        p = OscarPenalty(1.1, 0.25)
+        for n in (1, 2, 9, 64, 200):
+            for _ in range(25):
+                for name, x in _oscar_inputs(rng, n).items():
+                    ref = _rank_weighted_oscar(x, 1.1, 0.25)
+                    assert abs(p.value(x) - ref) <= 1e-15 * abs(ref), (n, name)
+
+    @pytest.mark.parametrize("x", [np.zeros(5), -np.zeros(5), np.zeros(0)], ids=["zeros", "neg-zeros", "empty"])
+    def test_zero_point_is_exactly_zero(self, x):
+        assert np.float64(OscarPenalty(0.3, 0.7).value(x)).tobytes() == np.float64(0.0).tobytes()
+
+
 class TestOscarSubgradient:
     def test_example(self):
         g = OscarPenalty(1.0, 0.1).subgradient(np.array([0.5, -2.0, 1.0]))

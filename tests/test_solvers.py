@@ -501,6 +501,49 @@ class TestL1ProxSite:
         assert (res.certified_eps, res.inner_iters) == (0.0, 0)
 
 
+class TestOscarProxSite:
+    """The OSCAR site pools with one sort and a ramp built once per (length,
+    gamma), and takes its value from |point| read in reverse pool order."""
+
+    PENALTY = OscarPenalty(0.1, 0.3)
+
+    @staticmethod
+    def _anchors(n, rng):
+        x = rng.standard_normal(n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        x[: n // 3] = np.round(x[: n // 3], 1)  # ties in |anchor|
+        return x
+
+    def _check(self, site, anchor, gamma):
+        res = site(anchor, gamma, 0.0, None)
+        want = prox_oscar_exact(anchor, gamma, self.PENALTY.lambda1, self.PENALTY.lambda2)
+        assert res.point.tobytes() == want.tobytes()
+        assert _bits(res.value) == _bits(self.PENALTY.value(res.point))
+        assert (res.certified_eps, res.inner_iters) == (0.0, 0)
+        return res.point
+
+    def test_point_and_value_on_zeros_ties_and_pooled_blocks(self):
+        site = solvers_mod._make_prox(self.PENALTY, True, SolverConfig(max_iters=1, solver_kind="pg"))
+        # 3.0, 2.95 and 2.9 shrink to an ascent and pool; the zeros, -0.0
+        # and the tied +-1.0 and +-0.5 sit beside them
+        fixed = np.array([3.0, -2.9, 2.95, 0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+        point = self._check(site, fixed, 0.7)
+        mag = np.abs(point[:3])
+        assert mag[0] == mag[1] == mag[2] > 0.0
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 9, 50):
+            for _ in range(10):
+                self._check(site, self._anchors(n, rng) * 3.0, 0.7)
+
+    def test_one_site_follows_gamma_and_length_changes(self):
+        # a ramp kept from an earlier (length, gamma) gives another point
+        site = solvers_mod._make_prox(self.PENALTY, True, SolverConfig(max_iters=1, solver_kind="pg"))
+        rng = np.random.default_rng(5)
+        for n, gamma in ((12, 0.7), (12, 0.2), (12, 0.7), (7, 0.7), (12, 0.7)):
+            self._check(site, self._anchors(n, rng) * 3.0, gamma)
+
+
 class TestProxSiteValues:
     """Every prox site's result carries the penalty's public value at its
     point, bit for bit, warm-started sites included."""
