@@ -15,6 +15,7 @@ import numpy as np
 
 from .datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
 from .dataio import TraceRow, load_regression_csv, load_sign_triplets, trace_rows, write_trace_csv
+from .linalg import check_rank
 from .losses import CorrentropyLoss, MaskedLogisticLoss, SquareLoss
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .solvers import SolverAbort, run_solver
@@ -85,7 +86,8 @@ def build_problem(application, seed=0, params=None, data_path=None):
 
     With data_path the dataset is read from the file, so generator parameters
     would have no effect and raise ValueError; link_prediction's true_rank
-    stays allowed, as the rank bound of its constraint.
+    stays allowed, as the rank bound of its constraint, and must lie in
+    [1, the file's user count].
     """
     p = _app_params(application, params)
     if data_path is None:
@@ -100,9 +102,10 @@ def build_problem(application, seed=0, params=None, data_path=None):
 
     if application == "link_prediction":
         x0 = np.zeros((dataset.n_users, dataset.n_users))
+        constraint = RankConstraint(p["true_rank"])  # checks the type first
+        check_rank(x0.shape, constraint.r)
         return Problem(
-            MaskedLogisticLoss(dataset), RankConstraint(p["true_rank"]), x0,
-            extras={"truth": x_true, "observed": dataset},
+            MaskedLogisticLoss(dataset), constraint, x0, extras={"truth": x_true, "observed": dataset},
         )
 
     n, d = dataset.n_samples, dataset.n_features

@@ -66,12 +66,25 @@ def prox_l1(y, threshold):
     y = as_vector(y)
     if not threshold >= 0:  # written so that nan fails it too
         raise ValueError("threshold must be non-negative")
-    return _prox_l1(y, threshold)
+    return _prox_l1(y, threshold)[0]
 
 
 def _prox_l1(y, threshold):
-    """prox_l1 without the checks, for callers that hold a valid input."""
-    return np.sign(y) * np.maximum(np.abs(y) - threshold, 0.0)
+    """prox_l1 without the checks: the point sign(y) * mag and its magnitudes
+    mag = max(|y| - threshold, 0), |point| exactly. At y = -0.0 the point is
+    +0.0, where np.copysign(mag, y) would give -0.0."""
+    mag = np.abs(y)
+    mag -= threshold
+    np.maximum(mag, 0.0, out=mag)
+    point = np.sign(y)
+    point *= mag
+    return point, mag
+
+
+def _momentum_next(t):
+    """FISTA's t' = (sqrt(4 t^2 + 1) + 1) / 2, unchecked, for the solver loop's
+    and the trace-lasso prox's own t, which starts at 1 and only grows."""
+    return 0.5 * (math.sqrt(4.0 * t * t + 1.0) + 1.0)
 
 
 def _pav_nonincreasing(z):
@@ -440,7 +453,7 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
         history.append(best_gap)
         if best_gap == 0.0 or (eps_target is not None and best_gap <= eps_target):
             break
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        t_next = _momentum_next(t)
         v = w + ((t - 1.0) / t_next) * (w - w_prev)
         u, s, vt = np.linalg.svd(v + (lam_r * primal(v)) / lip, full_matrices=False)
         w_prev, w, t = w, (u * np.minimum(s, 1.0)) @ vt, t_next

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_seed, is_int
+from .linalg import check_rank, check_seed, is_int
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
+    _momentum_next,
     _oscar_ramp,
     _prox_l1,
     _prox_oscar_exact,
@@ -124,16 +125,11 @@ def momentum_next(t):
     """t_{k+1} = (sqrt(4 t_k^2 + 1) + 1) / 2; satisfies t'^2 - t' = t^2.
 
     Raises ValueError for t < 0. The loop calls the unchecked core
-    _momentum_next on its own t, which starts at 1 and only grows.
+    _momentum_next (from iprox.prox) on its own t.
     """
     if t < 0:
         raise ValueError("momentum parameter must be non-negative")
     return _momentum_next(t)
-
-
-def _momentum_next(t):
-    """momentum_next without the check, for the loop's own t."""
-    return 0.5 * (math.sqrt(4.0 * t * t + 1.0) + 1.0)
 
 
 def extrapolate(x_cur, x_prev, z_cur, t_prev, t_cur):
@@ -226,10 +222,12 @@ class IterationTrace:
         return np.array(numbers, dtype=np.float64).tobytes(), tuple(r.branch for r in self.records)
 
 
-def _make_prox(penalty, use_exact, config):
-    """Bind a penalty to its prox site: a callable
-    (anchor, gamma, eps_k, prev) -> ProxResult whose value is the penalty's
-    value at its point, bit-equal to penalty.value(point).
+def _make_prox(penalty, use_exact, config, gamma, x0):
+    """Bind a penalty to its prox site for one run: a callable
+    (anchor, eps_k, prev) -> ProxResult whose value is the penalty's value
+    at its point, bit-equal to penalty.value(point). A run takes every prox
+    step with its one gamma on points shaped as x0, so each site is built
+    once per run, from both, and keeps no state between calls.
 
     L1 and OSCAR take their exact prox (soft thresholding, sort and pooling)
     under every kind, with certified_eps 0 and no inner iterations: any
@@ -242,22 +240,19 @@ def _make_prox(penalty, use_exact, config):
     trace-lasso and rank proxes start from its dual (the subspace basis for
     the rank prox), and the L1, OSCAR and exact-rank sites ignore it.
 
-    The L1 site takes the value from the magnitudes
-    mag = max(|a| - gamma lam, 0) that soft thresholding builds: the point
-    sign(a) * mag has |point| = mag exactly, so the value is bit-equal to
-    the penalty's there. The point is not np.copysign(mag, a): at a = -0.0
-    that is -0.0, where np.sign(a) * mag is +0.0.
-    The OSCAR site sorts once per call: it builds the shrinkage ramp and
-    the penalty's ascending weights once per (length, gamma), the pool
-    returns its descending order, and |point|, which is non-increasing in
-    that order, read in reverse is np.sort(|point|), so its dot with the
-    weights is bit-equal to the penalty's value. With lambda2 = 0 the site
-    soft-thresholds and takes the penalty's unchecked value core.
-    The trace-lasso prox computes that core at each of its iterates as its
+    The L1 site sums the magnitudes |point| that soft thresholding returns.
+    The OSCAR site builds the shrinkage ramp and the penalty's ascending
+    weights at bind and sorts once per call: the pool returns its
+    descending order, and |point|, which is non-increasing in that order,
+    read in reverse is np.sort(|point|), so its dot with the weights is
+    bit-equal to the penalty's value. At lambda2 = 0 the ramp is flat, and
+    the pool's point is soft thresholding's, bit for bit.
+    The trace-lasso prox computes the value at each of its iterates as its
     duality gap's primal term and returns it for the point it picks, so the
     site runs no SVD of its own. Every rank-prox mode returns points of
     rank <= r by construction, and value 0.0, without the SVD that
-    RankConstraint.value runs.
+    RankConstraint.value runs; the bound r is checked against x0's shape
+    here, so a bad one raises before the run starts.
 
     The L1 and OSCAR proxes and every value are the unchecked cores: the
     loop feeds them its own finite iterates, and a non-finite anchor passes
@@ -268,34 +263,21 @@ def _make_prox(penalty, use_exact, config):
     """
 
     if isinstance(penalty, L1Penalty):
-        lam = penalty.lam
+        lam, threshold = penalty.lam, gamma * penalty.lam
 
-        def call(anchor, gamma, eps_k, prev):
-            mag = np.abs(anchor)
-            mag -= gamma * lam
-            np.maximum(mag, 0.0, out=mag)
-            point = np.sign(anchor)
-            point *= mag
+        def call(anchor, eps_k, prev):
+            point, mag = _prox_l1(anchor, threshold)
             return ProxResult(point, 0.0, 0, value=lam * float(np.add.reduce(mag)))
 
         return call
 
     if isinstance(penalty, OscarPenalty):
-        l1, l2 = penalty.lambda1, penalty.lambda2
-        key = weights = ramp = None  # built once per (length, gamma)
+        weights = penalty._ascending_weights(x0.shape[0])
+        ramp = _oscar_ramp(penalty, x0.shape[0], gamma)
 
-        def call(anchor, gamma, eps_k, prev):
-            nonlocal key, weights, ramp
-            if not l2:
-                point = _prox_l1(anchor, gamma * l1)
-                return ProxResult(point, 0.0, 0, value=penalty._value(point))
-            if key != (anchor.shape[0], gamma):
-                key = (anchor.shape[0], gamma)
-                weights = penalty._ascending_weights(key[0])
-                ramp = _oscar_ramp(penalty, key[0], gamma)
+        def call(anchor, eps_k, prev):
             point, order = _prox_oscar_exact(anchor, ramp)
-            value = float(weights @ np.abs(point[order[::-1]]))
-            return ProxResult(point, 0.0, 0, value=value)
+            return ProxResult(point, 0.0, 0, value=float(weights @ np.abs(point[order[::-1]])))
 
         return call
 
@@ -303,7 +285,7 @@ def _make_prox(penalty, use_exact, config):
         if use_exact:
             raise ValueError("trace-lasso penalty has no exact prox; use an inexact solver kind")
 
-        def call(anchor, gamma, eps_k, prev):
+        def call(anchor, eps_k, prev):
             return prox_tracelasso_inexact(
                 anchor, gamma, penalty, inner_budget=config.inner_max_iters,
                 eps_target=eps_k, w0=None if prev is None else prev.dual,
@@ -312,9 +294,10 @@ def _make_prox(penalty, use_exact, config):
         return call
 
     if isinstance(penalty, RankConstraint):
+        check_rank(x0.shape, penalty.r)
         mode = "exact" if use_exact else config.rank_mode
 
-        def call(anchor, gamma, eps_k, prev):
+        def call(anchor, eps_k, prev):
             return prox_rank(
                 anchor, penalty.r, mode=mode, seed=config.seed, gamma=gamma, eps_target=eps_k,
                 v0=None if prev is None else prev.dual,
@@ -395,10 +378,10 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     exact = kind in EXACT_KINDS
     accelerated = kind not in ("pg", "ipg")
     nonmonotone = kind in ("nmapg", "nmaipg")
-    prox = _make_prox(penalty, exact, config)
     f_cur, grad_cur = loss.eval(x_cur)
     f_cur += penalty.value(x_cur)  # x0 comes from outside: the public value checks it
     _check_finite(f_cur, 0, kind)
+    prox = _make_prox(penalty, exact, config, gamma, x_cur)
     x_cur = x_prev = z = x_cur.copy()
     t_prev, t_cur = 0.0, 1.0
     start = time.perf_counter()
@@ -417,7 +400,7 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, _momentum_next(t_cur)
             grad_y = grad_cur if shared else loss.eval(y)[1]  # y is x_k up to the sign of zeros
-            res_z = prox(_anchor(y, grad_y, gamma), gamma, eps_k, res_z)
+            res_z = prox(_anchor(y, grad_y, gamma), eps_k, res_z)
             z = res_z.point
             f_z, grad_z = _objective(loss, res_z, k, kind, records)
             z_step_sq = _sq_norm(z - y)
@@ -431,7 +414,7 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
                 res_v, f_v, grad_v = res_z, f_z, grad_z
             else:
                 warm = res_z if accelerated else res_v  # this iteration's z result, near x_k's subproblem
-                res_v = prox(_anchor(x_cur, grad_cur, gamma), gamma, eps_k, warm)
+                res_v = prox(_anchor(x_cur, grad_cur, gamma), eps_k, warm)
                 f_v, grad_v = _objective(loss, res_v, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:

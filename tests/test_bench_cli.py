@@ -9,7 +9,7 @@ from iprox.bench import APPLICATIONS, build_problem, generate, run_experiment
 from iprox.cli import _build_configs, _build_parser, main, parse_eps_spec
 from iprox.dataio import load_trace_csv, write_regression_csv, write_sign_triplets
 from iprox.datagen import gen_correlated_design, gen_grouped_regression, gen_signed_lowrank
-from iprox.losses import CorrentropyLoss, SquareLoss
+from iprox.losses import CorrentropyLoss, ObservedSignMatrix, SquareLoss
 from iprox.penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 from iprox.solvers import ErrorSchedule, SolverAbort, SolverConfig, run_solver
 
@@ -110,16 +110,23 @@ class TestBuildProblem:
         prob = build_problem("link_prediction", params={"true_rank": 2}, data_path=path)
         assert prob.regularizer.r == 2 and prob.x0.shape == (14, 14)
 
-    def test_non_integral_rank_bound_rejected_before_any_run(self, tmp_path):
-        signs, _ = generate("link_prediction", seed=4, params={"n_users": 14, "true_rank": 2})
-        path = write_sign_triplets(tmp_path / "signs.txt", signs)
-        with pytest.raises(ValueError, match="rank bound must be a positive integer"):
-            build_problem("link_prediction", params={"true_rank": 2.5}, data_path=path)
+    @pytest.mark.parametrize(
+        "params,match",
+        [
+            ({"true_rank": 2.5}, "rank bound must be a positive integer"),
+            ({}, r"rank r=3 outside \[1, 2\]"),  # the default bound, above the file's 2 users
+        ],
+        ids=["non-integral", "above-the-user-count"],
+    )
+    def test_non_integral_rank_bound_rejected_before_any_run(self, tmp_path, params, match):
+        path = write_sign_triplets(tmp_path / "signs.txt", ObservedSignMatrix(2, [0, 1], [1, 0], [1.0, -1.0]))
+        with pytest.raises(ValueError, match=match):
+            build_problem("link_prediction", params=params, data_path=path)
         out = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match="rank bound"):
+        with pytest.raises(ValueError, match=match):
             run_experiment(
                 "link_prediction", [SolverConfig(max_iters=3, solver_kind="ipg")], str(out),
-                data_path=str(path), params={"true_rank": 2.5},
+                data_path=str(path), params=params,
             )
         assert not out.exists()
 

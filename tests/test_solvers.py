@@ -478,32 +478,41 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
-class TestL1ProxSite:
-    """The L1 site returns soft thresholding's point and the penalty's value
-    there, the value taken from the magnitudes the threshold builds."""
+def _bind(penalty, gamma, n):
+    """A site bound to gamma and length-n points, as a run binds it."""
+    config = SolverConfig(max_iters=1, solver_kind="pg")
+    return solvers_mod._make_prox(penalty, True, config, gamma, np.zeros(n))
 
+
+class TestL1ProxSite:
+    """The L1 site, and the OSCAR site at lambda2 = 0, return soft
+    thresholding's point and the penalty's value there."""
+
+    @pytest.mark.parametrize(
+        "penalty", [L1Penalty, lambda lam: OscarPenalty(lam, 0.0)], ids=["l1", "oscar-lambda2-zero"],
+    )
     @pytest.mark.parametrize("lam,gamma", [(0.3, 0.7), (0.0, 1.0), (1e-300, 1e-10)])
-    def test_point_and_value_are_bitwise_soft_thresholding_and_l1_value(self, lam, gamma):
+    def test_point_and_value_are_bitwise_soft_thresholding_and_l1_value(self, lam, gamma, penalty):
         t = gamma * lam  # (1e-300, 1e-10) makes the threshold itself subnormal
         near = [np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
         anchors = np.array(
             [0.0, -0.0, t, -t, *near, *(-v for v in near), 5e-324, -5e-324, 1e-310, -2.5e-310,
              1e300, -1e300, *np.random.default_rng(0).standard_normal(20)]
         )
-        config = SolverConfig(max_iters=1, solver_kind="pg")
-        prox = solvers_mod._make_prox(L1Penalty(lam), True, config)
+        penalty = penalty(lam)
+        prox = _bind(penalty, gamma, anchors.shape[0])
         anchor_bytes = anchors.tobytes()
-        res = prox(anchors, gamma, 0.0, None)
+        res = prox(anchors, 0.0, None)
         assert anchors.tobytes() == anchor_bytes and not np.shares_memory(res.point, anchors)
         want = np.sign(anchors) * np.maximum(np.abs(anchors) - t, 0.0)
-        assert res.point.tobytes() == want.tobytes()  # -0.0 in, +0.0 out
-        assert _bits(res.value) == _bits(L1Penalty(lam).value(res.point))
+        assert res.point.tobytes() == want.tobytes() == prox_l1(anchors, t).tobytes()  # -0.0 in, +0.0 out
+        assert _bits(res.value) == _bits(penalty.value(res.point))
         assert (res.certified_eps, res.inner_iters) == (0.0, 0)
 
 
 class TestOscarProxSite:
-    """The OSCAR site pools with one sort and a ramp built once per (length,
-    gamma), and takes its value from |point| read in reverse pool order."""
+    """The OSCAR site pools with one sort and a ramp built at bind, and
+    takes its value from |point| read in reverse pool order."""
 
     PENALTY = OscarPenalty(0.1, 0.3)
 
@@ -516,31 +525,25 @@ class TestOscarProxSite:
         return x
 
     def _check(self, site, anchor, gamma):
-        res = site(anchor, gamma, 0.0, None)
+        res = site(anchor, 0.0, None)
         want = prox_oscar_exact(anchor, gamma, self.PENALTY.lambda1, self.PENALTY.lambda2)
         assert res.point.tobytes() == want.tobytes()
         assert _bits(res.value) == _bits(self.PENALTY.value(res.point))
         assert (res.certified_eps, res.inner_iters) == (0.0, 0)
         return res.point
 
-    def test_point_and_value_on_zeros_ties_and_pooled_blocks(self):
-        site = solvers_mod._make_prox(self.PENALTY, True, SolverConfig(max_iters=1, solver_kind="pg"))
-        # 3.0, 2.95 and 2.9 shrink to an ascent and pool; the zeros, -0.0
-        # and the tied +-1.0 and +-0.5 sit beside them
-        fixed = np.array([3.0, -2.9, 2.95, 0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
-        point = self._check(site, fixed, 0.7)
-        mag = np.abs(point[:3])
-        assert mag[0] == mag[1] == mag[2] > 0.0
+    @pytest.mark.parametrize("n", [1, 2, 9, 12, 50])
+    @pytest.mark.parametrize("gamma", [0.7, 0.2])
+    def test_point_and_value_on_zeros_ties_and_pooled_blocks(self, gamma, n):
+        site = _bind(self.PENALTY, gamma, n)  # one site per (gamma, length)
+        if n == 9:
+            # 3.0, 2.95 and 2.9 shrink to an ascent and pool; the zeros, -0.0
+            # and the tied +-1.0 and +-0.5 sit beside them
+            fixed = np.array([3.0, -2.9, 2.95, 0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+            mag = np.abs(self._check(site, fixed, gamma)[:3])
+            assert mag[0] == mag[1] == mag[2] > 0.0
         rng = np.random.default_rng(4)
-        for n in (1, 2, 9, 50):
-            for _ in range(10):
-                self._check(site, self._anchors(n, rng) * 3.0, 0.7)
-
-    def test_one_site_follows_gamma_and_length_changes(self):
-        # a ramp kept from an earlier (length, gamma) gives another point
-        site = solvers_mod._make_prox(self.PENALTY, True, SolverConfig(max_iters=1, solver_kind="pg"))
-        rng = np.random.default_rng(5)
-        for n, gamma in ((12, 0.7), (12, 0.2), (12, 0.7), (7, 0.7), (12, 0.7)):
+        for _ in range(10):
             self._check(site, self._anchors(n, rng) * 3.0, gamma)
 
 
@@ -564,14 +567,14 @@ class TestProxSiteValues:
     def test_value_is_the_public_value_at_the_point(self, case):
         penalty, use_exact, rank_mode = self.CASES[case]
         config = SolverConfig(max_iters=1, solver_kind="ipg", rank_mode=rank_mode)
-        prox = solvers_mod._make_prox(penalty, use_exact, config)
         rng = np.random.default_rng(6)
         shape = (8, 7) if isinstance(penalty, RankConstraint) else (6,)
+        prox = solvers_mod._make_prox(penalty, use_exact, config, 0.7, np.zeros(shape))
         anchor = rng.standard_normal(shape)
         res = None
         for eps_k in (1e-2, 1e-5, 1e-8, 0.0):
             anchor = anchor + 0.1 * rng.standard_normal(shape)
-            res = prox(anchor, 0.7, eps_k, res)
+            res = prox(anchor, eps_k, res)
             assert _bits(res.value) == _bits(penalty.value(res.point)), eps_k
 
 
@@ -886,6 +889,13 @@ class TestMatrixRuns:
             run_solver(loss, constraint, np.zeros(10), cfg)
         with pytest.raises(ValueError):
             run_solver(loss, L1Penalty(0.1), np.zeros((3, 3)), cfg)
+        # a bound above the start's smaller side fails at bind, before the start record
+        for kind, mode in (("pg", "exact"), ("ipg", "power"), ("ipg", "residual")):
+            with pytest.raises(ValueError, match=r"rank r=13 outside \[1, 12\]"):
+                run_solver(
+                    loss, RankConstraint(13), np.zeros((12, 12)),
+                    SolverConfig(max_iters=5, solver_kind=kind, rank_mode=mode),
+                )
 
 
 class TestRankPowerRuns:
