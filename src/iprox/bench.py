@@ -101,12 +101,7 @@ def build_problem(application, seed=0, params=None, data_path=None):
         dataset, x_true = loader(data_path), None
 
     if application == "link_prediction":
-        x0 = np.zeros((dataset.n_users, dataset.n_users))
-        constraint = RankConstraint(p["true_rank"])  # checks the type first
-        check_rank(x0.shape, constraint.r)
-        return Problem(
-            MaskedLogisticLoss(dataset), constraint, x0, extras={"truth": x_true, "observed": dataset},
-        )
+        return link_prediction_problem(dataset, p["true_rank"], x_true)
 
     n, d = dataset.n_samples, dataset.n_features
     x0 = np.zeros(d)
@@ -121,6 +116,17 @@ def build_problem(application, seed=0, params=None, data_path=None):
         lam = 0.1 / math.sqrt(n)
         return Problem(loss, OscarPenalty(lam, lam), x0, x_ref=x_ref)
     return Problem(loss, TraceLassoPenalty(0.1, scaled.design), x0, x_ref=x_ref)
+
+
+def link_prediction_problem(observed, r, truth=None):
+    """Masked logistic loss on an ObservedSignMatrix under rank <= r, from the
+    zero n_users x n_users start. r must lie in [1, n_users]: a bad one
+    raises ValueError before anything runs. iprox bench and iprox solve
+    both build the problem here."""
+    x0 = np.zeros((observed.n_users, observed.n_users))
+    constraint = RankConstraint(r)  # checks the type first
+    check_rank(x0.shape, constraint.r)
+    return Problem(MaskedLogisticLoss(observed), constraint, x0, extras={"truth": truth, "observed": observed})
 
 
 def run_configs(run_id, loss, penalty, x0, configs):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bench import APPLICATIONS, generate, run_configs, run_experiment
+from .bench import APPLICATIONS, generate, link_prediction_problem, run_configs, run_experiment
 from .dataio import (
     load_regression_csv,
     load_sign_triplets,
@@ -20,8 +20,8 @@ from .dataio import (
     write_sign_triplets,
     write_trace_csv,
 )
-from .losses import CorrentropyLoss, MaskedLogisticLoss, SquareLoss
-from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
+from .losses import CorrentropyLoss, SquareLoss
+from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 from .solvers import SOLVER_KINDS, ErrorSchedule, SolverConfig
 
 
@@ -150,12 +150,10 @@ def _build_solve_problem(args):
     if args.loss == "logistic":
         if args.reg != "rank":
             raise ValueError("logistic loss works on sign matrices; use --reg rank")
-        observed = load_sign_triplets(args.data)
-        loss = MaskedLogisticLoss(observed)
         if args.rank_r is None:
             raise ValueError("--reg rank requires --rank-r")
-        x0 = np.zeros((observed.n_users, observed.n_users))
-        return loss, RankConstraint(args.rank_r), x0
+        problem = link_prediction_problem(load_sign_triplets(args.data), args.rank_r)
+        return problem.loss, problem.regularizer, problem.x0
     if args.reg == "rank":
         raise ValueError("--reg rank applies to matrix problems; use --loss logistic")
     dataset = load_regression_csv(args.data)

@@ -6,11 +6,9 @@ so recovery-quality checks can run without re-deriving it.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import check_finite_nonneg, check_rank, check_seed, is_int
+from .linalg import check_count, check_finite_nonneg, check_positive, check_rank, check_seed, is_int
 from .losses import ObservedSignMatrix, RegressionDataset
 
 
@@ -34,8 +32,8 @@ def gen_grouped_regression(n, d, n_groups, outlier_frac=0.0, noise_sd=0.0, seed=
     a shared nonzero coefficient, the rest are zero. A fraction of targets is
     corrupted upward to motivate bounded losses.
     """
-    if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
-        raise ValueError("n and d must be positive integers")
+    check_count(n, "n")
+    check_count(d, "d")
     if not is_int(n_groups) or not 1 <= n_groups <= d:
         raise ValueError("n_groups must be an integer in [1, d]")
     check_finite_nonneg(noise_sd, "noise_sd")
@@ -60,13 +58,11 @@ def gen_signed_lowrank(n_users, true_rank, obs_frac, margin=0.5, seed=0):
     The factor product is scaled up if needed so every sampled entry has
     magnitude at least margin, keeping the observed signs unambiguous.
     """
-    if not is_int(n_users) or n_users < 1:
-        raise ValueError("n_users must be a positive integer")
+    check_count(n_users, "n_users")
     check_rank((n_users, n_users), true_rank)
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("obs_frac must lie in (0, 1]")
-    if not 0 < margin < math.inf:
-        raise ValueError(f"margin must be positive and finite, got {margin!r}")
+    check_positive(margin, "margin")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n_users, true_rank))
@@ -92,8 +88,8 @@ def gen_correlated_design(n, d, correlation, sparsity, noise_sd=0.0, outlier_fra
     column is scaled to unit norm so the correlation structure, not column
     scale, drives the conditioning.
     """
-    if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
-        raise ValueError("n and d must be positive integers")
+    check_count(n, "n")
+    check_count(d, "d")
     if not 0.0 <= correlation < 1.0:
         raise ValueError("correlation must lie in [0, 1)")
     if not is_int(sparsity) or not 0 <= sparsity <= d:

@@ -6,6 +6,14 @@ they are given. The solver loop does not re-run them on its own iterates:
 there loss.eval's scan of each evaluated point is the guard (see
 iprox.solvers).
 
+Each scalar rule has one home here, and every public entry calls it:
+check_positive for a step size or scale (a finite number > 0: gamma,
+delta, sigma, margin, an adaptive schedule's floor), check_count for a
+count (an integer >= 1 under is_int: iteration budgets, sizes, a rank
+bound), check_finite_nonneg for a weight or schedule constant, check_rank
+for a rank bound against a shape, and check_seed for a seed. An eps target
+(None or a number >= 0) is checked by iprox.prox's _check_eps_target.
+
 The two spectral routines work on the smaller Gram matrix of their input:
 one m x m product and one symmetric eigensolve, m the smaller dimension,
 in place of a full SVD. The inexact rank prox in iprox.prox never forms
@@ -61,6 +69,19 @@ def check_finite_nonneg(value, name):
     every comparison, and an inf weight gives inf * 0 = nan at zero."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
+def check_positive(value, name):
+    """Raise ValueError unless value is a finite number > 0: a step size or
+    scale. nan fails the comparison, and an inf step gives inf * 0 = nan."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(value, name):
+    """Raise ValueError unless value is an integer >= 1 under is_int's rule."""
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_rank(shape, r):

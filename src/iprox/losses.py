@@ -2,13 +2,12 @@
 global Lipschitz bound on the gradient via lipschitz()."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, is_int, spectral_norm_sq
+from .linalg import as_matrix, as_vector, check_count, check_positive, spectral_norm_sq
 
 
 @dataclass(eq=False)
@@ -49,8 +48,7 @@ class ObservedSignMatrix:
         self.signs = np.asarray(self.signs, dtype=np.float64)
         if not (self.rows.shape == self.cols.shape == self.signs.shape) or self.rows.ndim != 1:
             raise ValueError("rows, cols and signs must be 1-d arrays of equal length")
-        if not is_int(self.n_users) or self.n_users < 1:
-            raise ValueError(f"n_users must be a positive integer, got {self.n_users!r}")
+        check_count(self.n_users, "n_users")
         for idx, name in ((self.rows, "rows"), (self.cols, "cols")):
             if np.any(idx < 0) or np.any(idx >= self.n_users):
                 raise ValueError(f"{name} contains out-of-range indices")
@@ -83,8 +81,7 @@ class CorrentropyLoss:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:  # inf makes every value inf * 0 = nan
-            raise ValueError("sigma must be positive and finite")
+        check_positive(self.sigma, "sigma")  # inf makes every value inf * 0 = nan
 
     @cached_property
     def _lipschitz(self):

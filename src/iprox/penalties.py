@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_finite_nonneg, is_int
+from .linalg import as_matrix, as_vector, check_count, check_finite_nonneg
 
 
 def magnitude_order(x):
@@ -163,8 +163,7 @@ class RankConstraint:
     tol = 1e-8
 
     def __post_init__(self):
-        if not is_int(self.r) or self.r < 1:
-            raise ValueError(f"rank bound must be a positive integer, got {self.r!r}")
+        check_count(self.r, "rank bound")
 
     def feasible(self, x):
         x = as_matrix(x)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_rank, is_int, truncated_svd_exact
+from .linalg import as_matrix, as_vector, check_count, check_positive, check_rank, truncated_svd_exact
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
@@ -53,8 +53,7 @@ class ProxSubproblem:
     regularizer: object
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        check_positive(self.gamma, "gamma")
 
     def objective(self, x):
         d = x - self.anchor
@@ -179,8 +178,7 @@ def prox_oscar_exact(y, gamma, lambda1, lambda2):
     adjacent violators, clamp at zero, then undo the sort and signs.
     """
     y = as_vector(y)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_positive(gamma, "gamma")
     penalty = OscarPenalty(lambda1, lambda2)  # checks both weights
     return _prox_oscar_exact(y, _oscar_ramp(penalty, y.shape[0], gamma))[0]
 
@@ -206,29 +204,26 @@ def _prox_oscar_exact(y, ramp):
     return out, order
 
 
-def _sorted_weight_params(regularizer):
-    if isinstance(regularizer, OscarPenalty):
-        return regularizer.lambda1, regularizer.lambda2
-    if isinstance(regularizer, L1Penalty):
-        return regularizer.lam, 0.0
-    raise TypeError(f"no sorted-weight form for {type(regularizer).__name__}")
-
-
 def oscar_dual_gap(x, subproblem):
     """Duality gap of the pairwise-max prox subproblem at x; zero at the optimum.
 
     The dual point is the Euclidean projection of xi = (x - anchor) / gamma
     onto the penalty's dual ball, xi minus the unit-stepsize penalty prox
-    (Moreau): one more sort and pool. It is feasible up to rounding whatever
-    x is, so the gap bounds Q(x) - min Q everywhere.
+    (Moreau): one more sort and pool, with the unit-step ramp. It is
+    feasible up to rounding whatever x is, so the gap bounds Q(x) - min Q
+    everywhere. An L1 regularizer is the OSCAR penalty with lambda2 = 0.
     """
     x = as_vector(x)
-    lambda1, lambda2 = _sorted_weight_params(subproblem.regularizer)
-    if lambda1 == 0 and lambda2 == 0:
+    penalty = subproblem.regularizer
+    if isinstance(penalty, L1Penalty):
+        penalty = OscarPenalty(penalty.lam, 0.0)
+    elif not isinstance(penalty, OscarPenalty):
+        raise TypeError(f"no sorted-weight form for {type(penalty).__name__}")
+    if penalty.lambda1 == 0 and penalty.lambda2 == 0:
         raise ValueError("dual gap undefined when both penalty weights are zero")
     anchor, gamma = subproblem.anchor, subproblem.gamma
-    xi = (x - anchor) / gamma
-    beta = xi - prox_oscar_exact(xi, 1.0, lambda1, lambda2)  # checked: a non-finite anchor raises
+    xi = as_vector((x - anchor) / gamma, "(x - anchor) / gamma")  # a non-finite anchor raises
+    beta = xi - _prox_oscar_exact(xi, _oscar_ramp(penalty, xi.shape[0], 1.0))[0]
     dual = -0.5 * gamma * float(beta @ beta) - float(beta @ anchor)
     return max(subproblem.objective(x) - dual, 0.0)
 
@@ -240,15 +235,15 @@ def prox_oscar_inexact(y, gamma, lambda1, lambda2, eps_target):
     certified_eps its oscar_dual_gap (a second sort and pool, for the dual
     point). That gap is a raw float64 difference at rounding level, so the
     call meets every eps_target at or above it and reports converged=False
-    for a target below it.
+    for a target below it; eps_target is None or >= 0, and None asks for
+    no target.
     """
     y = as_vector(y)
     sub = ProxSubproblem(y, gamma, OscarPenalty(lambda1, lambda2))
-    if not eps_target >= 0:
-        raise ValueError("eps_target must be non-negative")
+    _check_eps_target(eps_target)
     pool, _ = _prox_oscar_exact(y, _oscar_ramp(sub.regularizer, y.shape[0], gamma))
     cert = oscar_dual_gap(pool, sub)
-    return ProxResult(pool, cert, 0, [cert], converged=cert <= eps_target)
+    return ProxResult(pool, cert, 0, [cert], converged=eps_target is None or cert <= eps_target)
 
 
 def _check_eps_target(eps_target):
@@ -322,15 +317,13 @@ def prox_rank(
     """
     y = as_matrix(y)
     _check_eps_target(eps_target)
-    if mode == "exact":
-        return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True, value=0.0)
-    if mode not in ("power", "residual"):
+    if mode not in ("exact", "power", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     check_rank(y.shape, r)
-    if not is_int(power_iters) or power_iters < 1:
-        raise ValueError("power_iters must be a positive integer")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_positive(gamma, "gamma")
+    if mode == "exact":
+        return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True, value=0.0)
+    check_count(power_iters, "power_iters")
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
     m = a.shape[1]
@@ -419,10 +412,8 @@ def prox_tracelasso_inexact(y, gamma, penalty, inner_budget=2000, eps_target=Non
     y = as_vector(y)
     if not isinstance(penalty, TraceLassoPenalty):
         raise TypeError("penalty must be a TraceLassoPenalty")
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    if not is_int(inner_budget) or inner_budget < 1:
-        raise ValueError("inner_budget must be a positive integer")
+    check_positive(gamma, "gamma")
+    check_count(inner_budget, "inner_budget")
     _check_eps_target(eps_target)
     penalty._check_dim(y)
     lam_r = penalty._lam_factor

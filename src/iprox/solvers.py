@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_rank, check_seed, is_int
+from .linalg import check_count, check_finite_nonneg, check_positive, check_rank, check_seed
 from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
@@ -83,17 +83,10 @@ class ErrorSchedule:
         if self.kind not in ("constant", "polynomial", "adaptive"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         # a nan eps_k would fail every certified_eps > eps_k test, hiding misses
-        if not all(math.isfinite(v) for v in (self.c, self.p, self.alpha, self.floor)):
-            raise ValueError("schedule constants must be finite")
-        if self.c < 0 or self.floor < 0:
-            raise ValueError("schedule constants must be non-negative")
-        if self.kind == "polynomial" and self.p < 0:
-            raise ValueError("polynomial exponent must be non-negative")
+        for name in ("c", "p", "alpha", "floor"):
+            check_finite_nonneg(getattr(self, name), name)
         if self.kind == "adaptive":
-            if self.alpha < 0:
-                raise ValueError("adaptive schedule needs alpha >= 0")
-            if self.floor <= 0:
-                raise ValueError("adaptive schedule needs a positive floor")
+            check_positive(self.floor, "floor")
 
     @classmethod
     def constant(cls, c):
@@ -167,15 +160,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
-        if not is_int(self.max_iters) or self.max_iters < 1:
-            raise ValueError("max_iters must be a positive integer")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        check_count(self.max_iters, "max_iters")
+        if self.gamma is not None:
+            check_positive(self.gamma, "gamma")
+        check_positive(self.delta, "delta")
         check_seed(self.seed)
-        if not is_int(self.inner_max_iters) or self.inner_max_iters < 1:
-            raise ValueError("inner_max_iters must be a positive integer")
+        check_count(self.inner_max_iters, "inner_max_iters")
         if self.rank_mode not in ("exact", "power", "residual"):
             raise ValueError("rank_mode must be 'exact', 'power' or 'residual'")
 

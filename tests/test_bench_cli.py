@@ -488,12 +488,19 @@ class TestCommandLine:
         assert code == 2
         assert "matrix" in capsys.readouterr().err
 
-    def test_missing_rank_bound_exits_with_error(self, tmp_path, capsys):
-        data = tmp_path / "signs.txt"
-        main(["gen", "link_prediction", "--out", str(data), "--users", "10", "--rank", "2"])
-        code = main(["solve", "--data", str(data), "--loss", "logistic", "--reg", "rank"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [([], "--rank-r"), (["--rank-r", "3"], "rank r=3 outside [1, 2]")],
+        ids=["missing", "above-the-user-count"],
+    )
+    def test_missing_rank_bound_exits_with_error(self, tmp_path, capsys, flags, message):
+        # iprox bench refuses the same bound on the same file (TestBuildProblem)
+        data = write_sign_triplets(tmp_path / "signs.txt", ObservedSignMatrix(2, [0, 1], [1, 0], [1.0, -1.0]))
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--data", str(data), "--loss", "logistic", "--reg", "rank", *flags, "--out", str(out)])
         assert code == 2
-        assert "--rank-r" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_application_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -2,7 +2,9 @@
 
 The solver loop runs unchecked cores of the L1/OSCAR proxes and of the
 penalty values, so these calls are where a non-finite input from outside
-is stopped. Every count, rank and seed they take is an integer, not a bool.
+is stopped. Every count, rank and seed they take is an integer, not a bool,
+every step size is positive and finite, and every eps target is None or
+a number >= 0.
 """
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from iprox.losses import (
     SquareLoss,
 )
 from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
-from iprox.prox import prox_l1, prox_oscar_exact, prox_oscar_inexact, prox_rank, prox_tracelasso_inexact
+from iprox.prox import (
+    ProxSubproblem,
+    prox_l1,
+    prox_oscar_exact,
+    prox_oscar_inexact,
+    prox_rank,
+    prox_tracelasso_inexact,
+)
 from iprox.solvers import SolverConfig
 
 DESIGN = np.arange(12.0).reshape(4, 3) / 10.0 + np.eye(4, 3)
@@ -65,6 +74,7 @@ def test_matrix_calls_reject_non_finite_input(name, bad):
 
 
 EPS_TARGET_CALLS = {
+    "prox_oscar_inexact": lambda eps: prox_oscar_inexact(np.array([0.5, -1.0, 2.0]), 0.5, 0.1, 0.1, eps),
     "prox_tracelasso_inexact": lambda eps: prox_tracelasso_inexact(
         np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO, eps_target=eps
     ),
@@ -133,16 +143,28 @@ def test_counts_ranks_and_seeds_reject_bools(name, flag):
         COUNT_CALLS[name](flag)
 
 
+VECTOR = np.array([0.5, -1.0, 2.0])
+STEP_CALLS = {
+    "prox_oscar_exact": lambda g: prox_oscar_exact(VECTOR, g, 0.1, 0.1),
+    "prox_oscar_inexact": lambda g: prox_oscar_inexact(VECTOR, g, 0.1, 0.1, 1e-8),
+    "ProxSubproblem": lambda g: ProxSubproblem(VECTOR, g, OscarPenalty(0.1, 0.1)),
+    **{
+        f"prox_rank {mode}": lambda g, mode=mode: prox_rank(SQUARE, 1, mode=mode, gamma=g)
+        for mode in ("exact", "power", "residual")
+    },
+    "prox_tracelasso_inexact": lambda g: prox_tracelasso_inexact(VECTOR, g, TRACE_LASSO),
+    "SolverConfig": lambda g: SolverConfig(max_iters=1, solver_kind="ipg", gamma=g),
+}
+
+
 @pytest.mark.parametrize("gamma", (np.inf, np.nan, 0.0, -1.0))
-def test_step_sizes_must_be_positive_and_finite(gamma):
-    # an infinite step once ran nan arithmetic into a failed SVD, and passed
-    # SolverConfig's check to be refused by the loop only when L > 0
-    prox_tracelasso_inexact(np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO)
-    SolverConfig(max_iters=1, solver_kind="ipg", gamma=0.5)
-    with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        prox_tracelasso_inexact(np.array([0.5, -1.0, 2.0]), gamma, TRACE_LASSO)
-    with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        SolverConfig(max_iters=1, solver_kind="ipg", gamma=gamma)
+@pytest.mark.parametrize("name", sorted(STEP_CALLS))
+def test_step_sizes_must_be_positive_and_finite(name, gamma):
+    # an infinite step once ran nan arithmetic into a failed SVD, a nan
+    # OSCAR point, or a nan certified_eps that no target test could catch
+    STEP_CALLS[name](0.5)
+    with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {gamma!r}"):
+        STEP_CALLS[name](gamma)
 
 
 def _tracelasso_dual():

@@ -165,6 +165,13 @@ class TestSchedules:
         # alpha = 0 is a legal degenerate schedule: always the floor
         assert schedule_eps(ErrorSchedule.adaptive(0.0), 3, 5.0) == 1e-12
 
+    @pytest.mark.parametrize("name", ["c", "p", "alpha", "floor"])
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "adaptive"])
+    def test_every_constant_is_checked_under_every_kind(self, kind, name):
+        # a kind that ignores a constant still refuses a negative one
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite, got -1.0"):
+            ErrorSchedule(kind, **{name: -1.0})
+
     def test_polynomial_past_float_range_underflows_to_zero(self):
         # 10**400 overflows a float; c / k**p is then below the smallest subnormal
         s = ErrorSchedule.polynomial(1e-2, 400.0)
