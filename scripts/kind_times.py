@@ -5,10 +5,14 @@ then the work behind it as a second table.
 Each cell runs build_problem(app, seed=7) at default sizes with
 SolverConfig(max_iters=N, seed=7) and the default error schedule, under one
 BLAS thread, and reports the median wall time of --runs solves. The second
-table, after a blank line, gives the sum of inner_iters over the records of
-each cell's first solve; the runs are deterministic, so every solve gives the
-same sum. The trace-lasso penalty has no exact prox, so its exact kinds read
-n/a in both. Run it on two checkouts to compare them:
+table, after a blank line, gives the work of one more, untimed solve as
+`inner / evals / grads`: the sum of inner_iters over its records, its loss
+evaluations, and the gradients those evaluations computed. A CountingLoss
+wrapper counts the last two; the shipped losses compute a gradient at the
+first read of an evaluation's item [1], so it counts first reads. The runs are
+deterministic, so every solve does the same work. The trace-lasso penalty has
+no exact prox, so its exact kinds read n/a in both. Run it on two checkouts to
+compare them:
 
     PYTHONPATH=src python scripts/kind_times.py --max-iters 200 --runs 5
 """
@@ -27,16 +31,45 @@ from iprox.solvers import EXACT_KINDS, SOLVER_KINDS, SolverConfig, run_solver
 SEED = 7
 
 
+class CountingLoss:
+    """Forwards to a loss, counting its evaluations and the first read of
+    each evaluation's gradient."""
+
+    def __init__(self, loss):
+        self.loss, self.evals, self.grads = loss, 0, 0
+
+    def lipschitz(self):
+        return self.loss.lipschitz()
+
+    def eval(self, x):
+        self.evals += 1
+        return CountedEvaluation(self, self.loss.eval(x))
+
+
+class CountedEvaluation:
+    """An evaluation that reports the first read of its gradient to its loss."""
+
+    def __init__(self, counter, evaluation):
+        self.counter, self.evaluation, self.read = counter, evaluation, False
+
+    def __getitem__(self, i):
+        if i == 1 and not self.read:
+            self.read = True
+            self.counter.grads += 1
+        return self.evaluation[i]
+
+
 def cell(problem, config, runs):
-    """The median wall time of `runs` solves, and the first solve's inner iterations."""
-    times, inner = [], None
+    """The median wall time of `runs` solves, and the work of a counted solve."""
+    counted = CountingLoss(problem.loss)
+    trace = run_solver(counted, problem.regularizer, problem.x0, config)
+    work = f"{sum(r.inner_iters for r in trace.records)} / {counted.evals} / {counted.grads}"
+    times = []
     for _ in range(runs):
         start = time.perf_counter()
-        trace = run_solver(problem.loss, problem.regularizer, problem.x0, config)
+        run_solver(problem.loss, problem.regularizer, problem.x0, config)
         times.append(time.perf_counter() - start)
-        if inner is None:
-            inner = sum(r.inner_iters for r in trace.records)
-    return f"{1e3 * statistics.median(times):.1f} ms", str(inner)
+    return f"{1e3 * statistics.median(times):.1f} ms", work
 
 
 def header():

@@ -25,28 +25,38 @@ from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 from .solvers import SOLVER_KINDS, ErrorSchedule, SolverConfig
 
 
+# each --eps kind: the schedule constructor and the argument counts it takes
+_EPS_KINDS = {
+    "const": (ErrorSchedule.constant, (1,)),
+    "poly": (ErrorSchedule.polynomial, (2,)),
+    "adaptive": (ErrorSchedule.adaptive, (1, 2)),
+}
+
+
 def parse_eps_spec(text):
-    """Parse `const:<c>`, `poly:<c>,<p>`, or `adaptive:<alpha>[,<floor>]`."""
+    """Parse `const:<c>`, `poly:<c>,<p>`, or `adaptive:<alpha>[,<floor>]`.
+
+    Only a spec whose numbers do not parse, or are too few or too many, is
+    refused as unparseable; numbers the schedule refuses are refused with
+    the schedule's own message.
+    """
     kind, _, rest = text.partition(":")
+    if kind not in _EPS_KINDS:
+        raise argparse.ArgumentTypeError(f"unknown eps schedule kind {kind!r}")
+    make, counts = _EPS_KINDS[kind]
     try:
-        if kind == "const":
-            return ErrorSchedule.constant(float(rest))
-        if kind == "poly":
-            c, p = (float(v) for v in rest.split(","))
-            return ErrorSchedule.polynomial(c, p)
-        if kind == "adaptive":
-            parts = [float(v) for v in rest.split(",")]
-            if len(parts) == 1:
-                return ErrorSchedule.adaptive(parts[0])
-            if len(parts) == 2:
-                return ErrorSchedule.adaptive(parts[0], floor=parts[1])
+        args = [float(v) for v in rest.split(",")]
+        if len(args) not in counts:
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse eps spec {text!r}; "
             "expected const:<c>, poly:<c>,<p>, or adaptive:<alpha>[,<floor>]"
         ) from None
-    raise argparse.ArgumentTypeError(f"unknown eps schedule kind {kind!r}")
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # (flag, params key, type, help) for the generator size knobs. Every flag is

@@ -1,5 +1,12 @@
-"""Smooth data-fit terms. Each loss exposes eval(x) -> (value, gradient) and a
-global Lipschitz bound on the gradient via lipschitz()."""
+"""Smooth data-fit terms. Each loss exposes eval(x), which indexes and unpacks
+as the pair (value, gradient), and a global Lipschitz bound on the gradient
+via lipschitz().
+
+eval computes the value at once and returns it with the state its gradient
+needs; the gradient is computed the first time item [1] is read (see
+_Evaluation). The solver loop reads it only at the points it steps from, so
+a rejected candidate's gradient is never computed. A loss that returns a
+plain (value, gradient) tuple runs the same way."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -63,6 +70,34 @@ class ObservedSignMatrix:
         return self.rows.size
 
 
+class _Evaluation:
+    """One loss evaluation: item [0] is the value, item [1] the gradient.
+
+    The gradient is gradient(state), computed at the first read of [1] and
+    then kept, so every later read returns the same array; state is dropped
+    once it is used. Unpacking and len() behave as on the pair (value,
+    gradient); any index but 0 and 1 raises IndexError.
+    """
+
+    __slots__ = ("value", "_grad", "_gradient", "_state")
+
+    def __init__(self, value, gradient, state):
+        self.value, self._grad, self._gradient, self._state = value, None, gradient, state
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, i):
+        if i == 0:
+            return self.value
+        if i == 1:
+            if self._grad is None:
+                self._grad = self._gradient(self._state)
+                self._gradient = self._state = None
+            return self._grad
+        raise IndexError(f"a loss evaluation has items 0 (value) and 1 (gradient), not {i!r}")
+
+
 def _check_dim(x, expected, name="x"):
     if x.shape[0] != expected:
         raise ValueError(f"{name} has length {x.shape[0]}, expected {expected}")
@@ -93,7 +128,8 @@ class CorrentropyLoss:
 
         The elementwise chain runs in place on the two arrays the call makes,
         res and e, and both products are np.dot, which rounds as @ does. The
-        gradient is a fresh array per call; no buffer outlives the call.
+        evaluation keeps the weights e * res, in e, for its gradient
+        -design.T @ (e * res), a fresh array per evaluation.
         """
         x = as_vector(x)
         design = self.dataset.design
@@ -106,10 +142,13 @@ class CorrentropyLoss:
         np.exp(e, out=e)
         value = 0.5 * self.sigma**2 * float(np.add.reduce(1.0 - e))
         e *= res
+        return _Evaluation(value, self._gradient, e)
+
+    def _gradient(self, weights):
         # negated last: with the sign folded into res, the zero entries of an
         # all-zero design column would come out +0.0 rather than -0.0
-        grad = np.dot(design.T, e)
-        return value, np.negative(grad, out=grad)
+        grad = np.dot(self.dataset.design.T, weights)
+        return np.negative(grad, out=grad)
 
     def lipschitz(self):
         return self._lipschitz
@@ -130,7 +169,10 @@ class SquareLoss:
         design = self.dataset.design
         _check_dim(x, design.shape[1])
         res = design @ x - self.dataset.targets
-        return 0.5 * float(res @ res), design.T @ res
+        return _Evaluation(0.5 * float(res @ res), self._gradient, res)
+
+    def _gradient(self, res):
+        return self.dataset.design.T @ res
 
     def lipschitz(self):
         return self._lipschitz
@@ -146,8 +188,8 @@ class MaskedLogisticLoss:
     hundreds do not overflow. With t = X_ij * M_ij and u = exp(-|t|) from
     one exp, log(1 + exp(-t)) is max(-t, 0) + log1p(u), and sigmoid(-t) is
     u / (1 + u) for t > 0 and 1 / (1 + u) otherwise, so value and gradient
-    share the one exp. The value agrees with np.logaddexp(0, -t) to a few
-    ulps per entry.
+    share the one exp: the evaluation keeps t and u for its gradient. The
+    value agrees with np.logaddexp(0, -t) to a few ulps per entry.
     """
 
     observed: ObservedSignMatrix
@@ -168,9 +210,14 @@ class MaskedLogisticLoss:
         t = x.take(self._flat) * self.observed.signs
         u = np.exp(-np.abs(t))
         value = 0.5 * float((np.maximum(-t, 0.0) + np.log1p(u)).sum())
+        return _Evaluation(value, self._gradient, (t, u))
+
+    def _gradient(self, state):
+        t, u = state
+        n = self.observed.n_users
         grad = np.zeros(n * n)
         grad[self._flat] = self._half_neg_signs * (np.where(t > 0, u, 1.0) / (1.0 + u))
-        return value, grad.reshape(n, n)
+        return grad.reshape(n, n)
 
     def lipschitz(self):
         return 0.125

@@ -11,20 +11,26 @@ skipping the monitor prox entirely on such steps. The exact kinds are the
 inexact code paths with an exact prox and eps_k = 0; they are not separate
 implementations.
 
-The loss is evaluated once per point: the gradient returned with an accepted
-point's objective is the one the next iteration steps from.
+The loss is evaluated once per point, and the loop keeps the accepted
+point's evaluation. An evaluation indexes as (value, gradient), and the loop
+reads its gradient, item [1], only where it steps from the point: at y, at
+the monitor anchor x_k and at a shared iteration. The shipped losses compute
+the gradient at that first read, so a rejected candidate's gradient, or that
+of a point the shortcut leaves, is never computed; a loss returning a plain
+(value, gradient) tuple runs the same steps.
 
 The z site warm-starts from its previous result. The accelerated kinds'
 monitor warm-starts from the z result of the same iteration, whose anchor
 y_k - gamma * grad g(y_k) is near its own; pg/ipg chain their monitor results.
 At k = 1 the momentum point y_1 is x_0, and at k = 2, after the z-accept or
 shortcut that k = 1 ends in, y_2 is x_1. There both sites have one
-subproblem, so the v site takes the z site's result, objective and gradient,
+subproblem, so the v site takes the z site's result, objective and evaluation,
 and makes no prox call and no loss evaluation; the record's inner_iters
 counts that call once, and its monitor_inner_iters is 0. y equals x_k there
 up to the sign of zero entries, so the z anchor steps from the gradient the
 loop holds at x_k. apg and aipg thus evaluate the loss once at k = 1 and 2
-and three times on every later iteration (TestOracleCalls pins the counts).
+and three times on every later iteration (TestOracleCalls pins the counts),
+and compute two gradients on every later iteration: y's and x_k's.
 
 The loop's n x n arithmetic builds one fresh array per expression (_anchor,
 extrapolate, _sq_norm), bit-equal to the plain numpy expressions, and keeps
@@ -322,16 +328,17 @@ def _resolve_gamma(loss, config):
 
 
 def _objective(loss, res, k, kind, records):
-    """Objective and loss gradient at a prox site's result, inside the loop.
+    """Objective and loss evaluation at a prox site's result, inside the loop.
+    The evaluation's gradient is not read here.
 
     res.value is the penalty's value at res.point, from the prox site.
     loss.eval's finiteness scan of the point guards the loop; a non-finite
     objective is caught behind it.
     """
-    fval, grad = loss.eval(res.point)
-    fval += res.value
+    ev = loss.eval(res.point)
+    fval = ev[0] + res.value
     _check_finite(fval, k, kind, records)
-    return fval, grad
+    return fval, ev
 
 
 def _check_finite(fval, k, kind, records=None):
@@ -368,8 +375,8 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
     exact = kind in EXACT_KINDS
     accelerated = kind not in ("pg", "ipg")
     nonmonotone = kind in ("nmapg", "nmaipg")
-    f_cur, grad_cur = loss.eval(x_cur)
-    f_cur += penalty.value(x_cur)  # x0 comes from outside: the public value checks it
+    ev_cur = loss.eval(x_cur)  # the accepted point's evaluation, its gradient unread
+    f_cur = ev_cur[0] + penalty.value(x_cur)  # x0 comes from outside: the public value checks it
     _check_finite(f_cur, 0, kind)
     prox = _make_prox(penalty, exact, config, gamma, x_cur)
     x_cur = x_prev = z = x_cur.copy()
@@ -389,10 +396,10 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             shared = z is x_cur and (x_prev is x_cur or t_prev == 1.0)
             y = extrapolate(x_cur, x_prev, z, t_prev, t_cur)
             t_prev, t_cur = t_cur, _momentum_next(t_cur)
-            grad_y = grad_cur if shared else loss.eval(y)[1]  # y is x_k up to the sign of zeros
+            grad_y = ev_cur[1] if shared else loss.eval(y)[1]  # y is x_k up to the sign of zeros
             res_z = prox(_anchor(y, grad_y, gamma), eps_k, res_z)
             z = res_z.point
-            f_z, grad_z = _objective(loss, res_z, k, kind, records)
+            f_z, ev_z = _objective(loss, res_z, k, kind, records)
             z_step_sq = _sq_norm(z - y)
             shortcut = nonmonotone and f_z <= f_cur - 0.5 * config.delta * z_step_sq
 
@@ -401,11 +408,11 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
             branch, res_v = "shortcut", None
         else:  # the monitor step, which pg/ipg take alone
             if shared:
-                res_v, f_v, grad_v = res_z, f_z, grad_z
+                res_v, f_v, ev_v = res_z, f_z, ev_z
             else:
                 warm = res_z if accelerated else res_v  # this iteration's z result, near x_k's subproblem
-                res_v = prox(_anchor(x_cur, grad_cur, gamma), eps_k, warm)
-                f_v, grad_v = _objective(loss, res_v, k, kind, records)
+                res_v = prox(_anchor(x_cur, ev_cur[1], gamma), eps_k, warm)
+                f_v, ev_v = _objective(loss, res_v, k, kind, records)
             v_step_sq = _sq_norm(res_v.point - x_cur)
             if not accelerated:
                 branch = "prox"
@@ -413,9 +420,9 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
                 branch = "z-accepted" if f_z <= f_v else "v-accepted"
 
         if branch in ("prox", "v-accepted"):
-            res, f_next, grad_next, step_sq = res_v, f_v, grad_v, v_step_sq
+            res, f_next, ev_next, step_sq = res_v, f_v, ev_v, v_step_sq
         else:
-            res, f_next, grad_next = res_z, f_z, grad_z
+            res, f_next, ev_next = res_z, f_z, ev_z
             step_sq = _sq_norm(z - x_cur)
         x_next = res.point
         monitor_inner = res_v.inner_iters if res_v and not shared else 0  # a shared call counts once
@@ -437,5 +444,5 @@ def _run(loss, penalty, x0, config, keep_iterates, records):
         # adaptive schedules key off the monitor displacement when one exists
         prev_step_sq = v_step_sq if v_step_sq is not None else step_sq
         x_prev, x_cur = x_cur, x_next
-        f_cur, grad_cur = f_next, grad_next
+        f_cur, ev_cur = f_next, ev_next
     return IterationTrace(kind, gamma, config.seed, records, x_cur, iterates)

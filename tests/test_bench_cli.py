@@ -291,6 +291,23 @@ class TestEpsSpecParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_eps_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("poly:1e-2,-1", "p must be non-negative and finite, got -1.0"),
+            ("adaptive:0.5,0", "floor must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_schedule_refusal_keeps_the_schedule_message(self, spec, message, tmp_path, capsys):
+        # the numbers parse, so the schedule's own rule names what is wrong
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "lasso_baseline", "--out", str(tmp_path / "t.csv"), "--eps", spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"argument --eps: {message}")
+        assert "cannot parse" not in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestCommandLine:
     def test_bench_writes_parseable_trace(self, tmp_path, capsys):

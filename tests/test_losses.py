@@ -301,3 +301,86 @@ class TestMaskedLogistic:
 def test_dataset_shape_mismatch():
     with pytest.raises(ValueError):
         RegressionDataset(np.ones((3, 2)), np.ones(4))
+
+
+def eager_correntropy_eval(loss, x):
+    """CorrentropyLoss.eval with both items computed in the call, step for step."""
+    design = loss.dataset.design
+    res = np.dot(design, x)
+    np.subtract(loss.dataset.targets, res, out=res)
+    e = np.divide(res, loss.sigma)
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    value = 0.5 * loss.sigma**2 * float(np.add.reduce(1.0 - e))
+    e *= res
+    grad = np.dot(design.T, e)
+    return value, np.negative(grad, out=grad)
+
+
+def eager_square_eval(loss, x):
+    """SquareLoss.eval with both items computed in the call."""
+    res = loss.dataset.design @ x - loss.dataset.targets
+    return 0.5 * float(res @ res), loss.dataset.design.T @ res
+
+
+def eager_logistic_eval(loss, x):
+    """MaskedLogisticLoss.eval with both items computed in the call."""
+    n = loss.observed.n_users
+    t = x.take(loss._flat) * loss.observed.signs
+    u = np.exp(-np.abs(t))
+    value = 0.5 * float((np.maximum(-t, 0.0) + np.log1p(u)).sum())
+    grad = np.zeros(n * n)
+    grad[loss._flat] = loss._half_neg_signs * (np.where(t > 0, u, 1.0) / (1.0 + u))
+    return value, grad.reshape(n, n)
+
+
+def shipped_loss_cases():
+    """(loss, eager reference, point sampler) for each shipped loss."""
+    rng = np.random.default_rng(31)
+    design = rng.standard_normal((40, 6))
+    design[:, 2] = 0.0  # an all-zero column: the correntropy gradient entry is -0.0
+    ds = RegressionDataset(design, rng.standard_normal(40))
+    n = 20
+    flat = rng.choice(n * n, size=150, replace=False)
+    obs = ObservedSignMatrix(n, flat // n, flat % n, rng.choice([-1.0, 1.0], size=150))
+    return {
+        "correntropy": (CorrentropyLoss(ds, sigma=0.7), eager_correntropy_eval, lambda: rng.standard_normal(6)),
+        "square": (SquareLoss(ds), eager_square_eval, lambda: rng.standard_normal(6)),
+        "logistic": (MaskedLogisticLoss(obs), eager_logistic_eval, lambda: 3 * rng.standard_normal((n, n))),
+    }
+
+
+@pytest.mark.parametrize("name", ["correntropy", "square", "logistic"])
+class TestEvaluationContract:
+    """eval(x) returns an evaluation that reads as the pair (value, gradient);
+    the gradient is computed at its first read."""
+
+    def test_items_are_bit_equal_to_the_eager_formulas(self, name):
+        loss, eager, sample = shipped_loss_cases()[name]
+        a, b = sample(), sample()
+        ev_a, ev_b = loss.eval(a), loss.eval(b)
+        for x, ev in ((b, ev_b), (a, ev_a)):  # read in the other order: each keeps its own state
+            value, grad = eager(loss, x)
+            assert type(ev[0]) is float and ev[0] == value
+            assert type(ev[1]) is np.ndarray and ev[1].shape == grad.shape
+            assert ev[1].tobytes() == grad.tobytes()
+        value, grad = loss.eval(a)  # unpacking an unread evaluation
+        ref_value, ref_grad = eager(loss, a)
+        assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
+
+    def test_gradient_is_computed_once(self, name):
+        loss, _, sample = shipped_loss_cases()[name]
+        ev = loss.eval(sample())
+        grad = ev[1]
+        assert ev[1] is grad
+        _, again = ev
+        assert again is grad
+
+    def test_two_items_and_no_others(self, name):
+        loss, _, sample = shipped_loss_cases()[name]
+        ev = loss.eval(sample())
+        assert len(ev) == 2
+        for bad in (2, -1, 10):
+            with pytest.raises(IndexError):
+                ev[bad]

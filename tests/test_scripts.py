@@ -39,7 +39,7 @@ def test_trace_keys_prints_one_hash_per_pair():
 
 
 def test_kind_times_prints_one_row_per_application():
-    lines = run_script("kind_times.py", "--max-iters", "2", "--runs", "2")
+    lines = run_script("kind_times.py", "--max-iters", "3", "--runs", "2")
     blank = lines.index("")
     times, work = lines[:blank], lines[blank + 1 :]
     for table in (times, work):
@@ -47,14 +47,22 @@ def test_kind_times_prints_one_row_per_application():
     time_rows = [[c.strip() for c in line.strip("|").split("|")] for line in times[2:]]
     work_rows = [[c.strip() for c in line.strip("|").split("|")] for line in work[2:]]
     assert [row[0] for row in time_rows] == [row[0] for row in work_rows] == list(APPLICATIONS)
-    for (app, *cells), (_, *inner) in zip(time_rows, work_rows):
-        assert len(cells) == len(inner) == len(SOLVER_KINDS)
-        for kind, text, count in zip(SOLVER_KINDS, cells, inner):
+    for (app, *cells), (_, *work) in zip(time_rows, work_rows):
+        assert len(cells) == len(work) == len(SOLVER_KINDS)
+        for kind, text, counts in zip(SOLVER_KINDS, cells, work):
             if app == "robust_tracelasso" and kind in EXACT_KINDS:
-                assert text == count == "n/a"
+                assert text == counts == "n/a"
             else:
                 value, unit = text.split()
                 assert unit == "ms" and float(value) >= 0
+                inner, evals, grads = (int(n) for n in counts.split(" / "))
                 # only the inexact trace-lasso and rank proxes iterate
                 iterative = kind not in EXACT_KINDS and app in ("robust_tracelasso", "link_prediction")
-                assert (int(count) > 0) == iterative
+                assert (inner > 0) == iterative
+                # three iterations: pg reads every gradient but x_3's; the
+                # accelerated kinds evaluate z alone at k = 1 and 2, and leave
+                # two gradients unread from k = 3 on (one on a shortcut)
+                if kind in ("pg", "ipg"):
+                    assert (evals, grads) == (4, 3)
+                else:
+                    assert (evals, grads) in ((6, 4), (5, 3))

@@ -759,6 +759,60 @@ class TestOracleCalls:
             assert np.array_equal(got["x"], want)
 
 
+class TupleLoss:
+    """Forwards to a loss and returns its evaluations as plain tuples."""
+
+    def __init__(self, loss):
+        self.loss = loss
+
+    def lipschitz(self):
+        return self.loss.lipschitz()
+
+    def eval(self, x):
+        value, grad = self.loss.eval(x)
+        return value, grad
+
+
+class TestGradientsComputed:
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_only_the_gradients_the_loop_steps_from(self, kind, monkeypatch):
+        # the loop reads a gradient at y, at the monitor anchor x_k and at a
+        # shared iteration; SquareLoss computes one at its evaluation's first read
+        computed = []
+        real = SquareLoss._gradient
+
+        def counting(self, res):
+            computed.append(res)
+            return real(self, res)
+
+        monkeypatch.setattr(SquareLoss, "_gradient", counting)
+        loss, penalty, x0 = oscar_instance(seed=2)
+        counting_loss = CountingLoss(loss)
+        cfg = SolverConfig(max_iters=40, solver_kind=kind, gamma=0.4 / loss.lipschitz())
+        trace = run_solver(counting_loss, penalty, x0, cfg)
+        branches = [r.branch for r in trace.records[1:]]
+        iters = len(branches)
+        if kind in ("pg", "ipg"):
+            expected = counting_loss.evals - 1  # every point's but the last
+        elif kind in ("apg", "aipg"):
+            expected = 2 + 2 * (iters - 2)  # x_0's and x_1's at k = 1 and 2, then y's and x_k's
+        else:
+            shortcuts = branches[2:].count("shortcut")
+            assert 0 < shortcuts < iters - 2
+            # a shortcut at k takes no monitor step, so x_k's gradient goes unread
+            expected = 2 + 2 * (iters - 2) - shortcuts
+        assert len(computed) == expected < counting_loss.evals
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_plain_tuple_loss_takes_the_same_steps(self, kind):
+        loss, penalty, x0 = oscar_instance(seed=2)
+        cfg = SolverConfig(max_iters=40, solver_kind=kind, gamma=0.4 / loss.lipschitz())
+        shipped = run_solver(loss, penalty, x0, cfg)
+        plain = run_solver(TupleLoss(loss), penalty, x0, cfg)
+        assert plain.key() == shipped.key()
+        assert np.array_equal(plain.final_point, shipped.final_point)
+
+
 class TestGuards:
     def test_step_size_must_beat_lipschitz(self):
         loss = scalar_quadratic()  # L = 1
