@@ -25,14 +25,7 @@ from .losses import (
     RegressionDataset,
     SquareLoss,
 )
-from .penalties import (
-    L1Penalty,
-    OscarPenalty,
-    RankConstraint,
-    TraceLassoPenalty,
-    epsilon_subgradient_witness,
-    magnitude_order,
-)
+from .penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
 from .prox import (
     ProxResult,
     ProxSubproblem,
@@ -80,7 +73,6 @@ __all__ = [
     "TraceLassoPenalty",
     "TraceRow",
     "build_problem",
-    "epsilon_subgradient_witness",
     "extrapolate",
     "gen_correlated_design",
     "gen_grouped_regression",
@@ -88,7 +80,6 @@ __all__ = [
     "load_regression_csv",
     "load_sign_triplets",
     "load_trace_csv",
-    "magnitude_order",
     "momentum_next",
     "oscar_dual_gap",
     "prox_l1",

@@ -1,14 +1,14 @@
-"""Non-smooth penalties and constraints, with subgradient selections.
+"""Non-smooth penalties and constraints: the value of each.
 
-Every penalty exposes value(x); the convex ones also expose subgradient(x)
-and carry is_convex = True so sampling-based subgradient checks know they
-apply. value checks its input; the L1, OSCAR and trace-lasso penalties
-also have _value, the same number without the check. The trace-lasso prox
-calls it on each dual iterate's primal point, as its duality gap's primal
-term. OSCAR's value is the dot of its ascending weights with the ascending
-magnitudes, one sort and no ranks; the solver loop's OSCAR prox site takes
-the magnitudes from its pool's order instead of sorting again, and the L1
-site sums the magnitudes it has just thresholded.
+A run needs a penalty's value and its prox, and the proxes live in
+iprox.prox. value checks its input; the L1, OSCAR and trace-lasso
+penalties also have _value, the same number without the check. The
+trace-lasso prox calls it on each dual iterate's primal point, as its
+duality gap's primal term. OSCAR's value is the dot of its ascending
+weights with the ascending magnitudes, one sort and no ranks; the solver
+loop's OSCAR prox site takes the magnitudes from its pool's order instead
+of sorting again, and the L1 site sums the magnitudes it has just
+thresholded.
 """
 from __future__ import annotations
 
@@ -20,25 +20,9 @@ import numpy as np
 from .linalg import as_matrix, as_vector, check_count, check_finite_nonneg
 
 
-def magnitude_order(x):
-    """1-based ranks of |x| in ascending order, ties broken by coordinate index.
-
-    order[j] == 1 means x_j has the smallest magnitude.
-    """
-    return _ascending_ranks(np.abs(as_vector(x)))
-
-
-def _ascending_ranks(a):
-    idx = np.argsort(a, kind="stable")
-    order = np.empty(a.shape[0], dtype=np.int64)
-    order[idx] = np.arange(1, a.shape[0] + 1)
-    return order
-
-
 @dataclass(frozen=True)
 class L1Penalty:
     lam: float
-    is_convex = True
 
     def __post_init__(self):
         check_finite_nonneg(self.lam, "lam")
@@ -48,9 +32,6 @@ class L1Penalty:
 
     def _value(self, x):
         return self.lam * float(np.add.reduce(np.abs(x)))
-
-    def subgradient(self, x):
-        return self.lam * np.sign(as_vector(x))
 
 
 @dataclass(frozen=True)
@@ -66,7 +47,6 @@ class OscarPenalty:
 
     lambda1: float
     lambda2: float
-    is_convex = True
 
     def __post_init__(self):
         check_finite_nonneg(self.lambda1, "lambda1")
@@ -83,10 +63,6 @@ class OscarPenalty:
     def _value(self, x):
         return float(self._ascending_weights(x.shape[0]) @ np.sort(np.abs(x)))
 
-    def subgradient(self, x):
-        x = as_vector(x)
-        return self._ascending_weights(x.shape[0])[_ascending_ranks(np.abs(x)) - 1] * np.sign(x)
-
 
 @dataclass(frozen=True, eq=False)
 class TraceLassoPenalty:
@@ -95,8 +71,6 @@ class TraceLassoPenalty:
 
     lam: float
     design: np.ndarray
-    is_convex = True
-    rank_rtol = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "design", as_matrix(self.design, "design"))
@@ -134,18 +108,6 @@ class TraceLassoPenalty:
     def _value(self, x):
         return self.lam * float(np.add.reduce(np.linalg.svd(self.factor * x, compute_uv=False)))
 
-    def subgradient(self, x):
-        """lam * diag(R^T U V^T) from the thin SVD of R @ Diag(x), keeping
-        only directions with singular value above rank_rtol * s_max."""
-        x = as_vector(x)
-        self._check_dim(x)
-        u, s, vt = np.linalg.svd(self.factor * x, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return np.zeros_like(x)
-        keep = s > self.rank_rtol * s[0]
-        uv = u[:, keep] @ vt[keep]
-        return self.lam * np.einsum("ij,ij->j", self.factor, uv)
-
 
 @dataclass(frozen=True)
 class RankConstraint:
@@ -159,7 +121,6 @@ class RankConstraint:
     """
 
     r: int
-    is_convex = False
     tol = 1e-8
 
     def __post_init__(self):
@@ -174,31 +135,3 @@ class RankConstraint:
 
     def value(self, x):
         return 0.0 if self.feasible(x) else np.inf
-
-
-def epsilon_subgradient_witness(penalty, x, d, eps, n_samples=1000, seed=0):
-    """Search for a point violating h(y) >= h(x) + <d, y-x> - eps.
-
-    Gaussian candidates are drawn around x at several radii. Returns a
-    violating y if one is found, else None (evidence, not proof, of
-    membership in the eps-subdifferential). Only valid for convex penalties.
-    """
-    if not getattr(penalty, "is_convex", False):
-        raise TypeError(f"{type(penalty).__name__} is not convex; check unsupported")
-    if not eps >= 0:
-        raise ValueError("eps must be non-negative")
-    x = as_vector(x)
-    d = as_vector(d)
-    if x.shape != d.shape:
-        raise ValueError("x and d must have equal length")
-    hx = penalty.value(x)
-    rng = np.random.default_rng(seed)
-    radii = (0.1, 1.0, 10.0)
-    per_radius = max(n_samples // len(radii), 1)
-    scale = 1.0 + float(np.linalg.norm(x))
-    for radius in radii:
-        for _ in range(per_radius):
-            y = x + radius * scale * rng.standard_normal(x.shape[0])
-            if penalty.value(y) < hx + d @ (y - x) - eps - 1e-12:
-                return y
-    return None

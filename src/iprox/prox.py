@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_count, check_positive, check_rank, truncated_svd_exact
+from .linalg import (
+    as_matrix, as_vector, check_count, check_positive, check_rank, check_seed, truncated_svd_exact,
+)
 from .penalties import L1Penalty, OscarPenalty, TraceLassoPenalty
 
 
@@ -321,9 +323,10 @@ def prox_rank(
         raise ValueError(f"unknown mode {mode!r}")
     check_rank(y.shape, r)
     check_positive(gamma, "gamma")
+    check_count(power_iters, "power_iters")
+    check_seed(seed)
     if mode == "exact":
         return ProxResult(truncated_svd_exact(y, r), 0.0, 0, [], True, value=0.0)
-    check_count(power_iters, "power_iters")
     wide = y.shape[0] < y.shape[1]
     a = y.T if wide else y
     m = a.shape[1]

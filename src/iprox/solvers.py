@@ -167,6 +167,8 @@ class SolverConfig:
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
         check_count(self.max_iters, "max_iters")
+        if not isinstance(self.error_schedule, ErrorSchedule):
+            raise TypeError(f"error_schedule must be an ErrorSchedule, got {self.error_schedule!r}")
         if self.gamma is not None:
             check_positive(self.gamma, "gamma")
         check_positive(self.delta, "delta")

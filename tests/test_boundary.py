@@ -108,6 +108,14 @@ COUNT_CALLS = {
         for mode in ("exact", "power", "residual")
     },
     "prox_rank power_iters": lambda v: prox_rank(SQUARE, 1, mode="power", power_iters=v),
+    **{
+        f"prox_rank {mode} power_iters": lambda v, mode=mode: prox_rank(SQUARE, 1, mode=mode, power_iters=v)
+        for mode in ("exact", "residual")
+    },
+    **{
+        f"prox_rank {mode} seed": lambda v, mode=mode: prox_rank(SQUARE, 1, mode=mode, seed=v)
+        for mode in ("exact", "power", "residual")
+    },
     "prox_tracelasso_inexact inner_budget": lambda v: prox_tracelasso_inexact(
         np.array([0.5, -1.0, 2.0]), 0.5, TRACE_LASSO, inner_budget=v
     ),
@@ -141,6 +149,15 @@ def test_counts_ranks_and_seeds_reject_bools(name, flag):
     COUNT_CALLS[name](np.int64(1))
     with pytest.raises(ValueError):
         COUNT_CALLS[name](flag)
+
+
+@pytest.mark.parametrize("seed", (-1, 2.5))
+@pytest.mark.parametrize("mode", ("exact", "power", "residual"))
+def test_rank_prox_seed_is_a_non_negative_integer(mode, seed):
+    # numpy's generator once refused -1 in its own words and 2.5 with a raw
+    # TypeError, and only where a cold start drew from it
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        prox_rank(SQUARE, 1, mode=mode, seed=seed)
 
 
 VECTOR = np.array([0.5, -1.0, 2.0])

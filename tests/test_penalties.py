@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from iprox.penalties import (
-    L1Penalty,
-    OscarPenalty,
-    RankConstraint,
-    TraceLassoPenalty,
-    epsilon_subgradient_witness,
-    magnitude_order,
-)
+from iprox.penalties import L1Penalty, OscarPenalty, RankConstraint, TraceLassoPenalty
+from subgradients import epsilon_subgradient_witness, magnitude_order, subgradient
 
 finite_vectors = arrays(
     np.float64,
@@ -114,19 +108,22 @@ class TestOscarSortedValue:
 
 class TestOscarSubgradient:
     def test_example(self):
-        g = OscarPenalty(1.0, 0.1).subgradient(np.array([0.5, -2.0, 1.0]))
+        g = subgradient(OscarPenalty(1.0, 0.1), np.array([0.5, -2.0, 1.0]))
         np.testing.assert_allclose(g, [1.0, -1.2, 1.1], atol=1e-12)
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(OscarPenalty(1.0, 0.5).subgradient(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(subgradient(OscarPenalty(1.0, 0.5), np.zeros(3)), np.zeros(3))
 
     def test_is_subgradient_at_distinct_points(self):
         rng = np.random.default_rng(3)
         p = OscarPenalty(0.8, 0.2)
         for seed in range(5):
-            x = rng.permutation([0.5, -1.0, 2.0, -3.5]) * (1 + 0.1 * seed)
-            w = epsilon_subgradient_witness(p, x, p.subgradient(x), eps=0.0, n_samples=1000, seed=seed)
-            assert w is None
+            distinct = rng.permutation([0.5, -1.0, 2.0, -3.5]) * (1 + 0.1 * seed)
+            # tied magnitudes and zeros: the selection ranks ties by index
+            tied = np.random.default_rng(seed).permutation([0.0, -1.0, 1.0, 2.0, -2.0, 0.0])
+            for x in (distinct, tied):
+                w = epsilon_subgradient_witness(p, x, subgradient(p, x), eps=0.0, n_samples=1000, seed=seed)
+                assert w is None
 
 
 class TestL1:
@@ -134,12 +131,12 @@ class TestL1:
         p = L1Penalty(0.5)
         x = np.array([1.0, -2.0, 0.0])
         assert p.value(x) == 1.5
-        np.testing.assert_array_equal(p.subgradient(x), [0.5, -0.5, 0.0])
+        np.testing.assert_array_equal(subgradient(p, x), [0.5, -0.5, 0.0])
 
     def test_subgradient_check_passes(self):
         p = L1Penalty(1.0)
         x = np.array([0.7, -0.2])
-        assert epsilon_subgradient_witness(p, x, p.subgradient(x), eps=0.0) is None
+        assert epsilon_subgradient_witness(p, x, subgradient(p, x), eps=0.0) is None
 
 
 class TestTraceLasso:
@@ -172,14 +169,14 @@ class TestTraceLasso:
 
     def test_subgradient_identity_design(self):
         p = TraceLassoPenalty(0.5, np.eye(2))
-        np.testing.assert_allclose(p.subgradient(np.array([2.0, -1.0])), [0.5, -0.5], atol=1e-10)
+        np.testing.assert_allclose(subgradient(p, np.array([2.0, -1.0])), [0.5, -0.5], atol=1e-10)
 
     def test_subgradient_scale_invariant_direction(self):
         rng = np.random.default_rng(5)
         p = TraceLassoPenalty(1.0, rng.standard_normal((6, 3)))
         x = rng.standard_normal(3)
-        g1 = p.subgradient(x)
-        g2 = p.subgradient(3.7 * x)
+        g1 = subgradient(p, x)
+        g2 = subgradient(p, 3.7 * x)
         np.testing.assert_allclose(g1, g2, atol=1e-9)
 
     def test_subgradient_sampling_check(self):
@@ -187,9 +184,12 @@ class TestTraceLasso:
         for seed in range(5):
             design = rng.standard_normal((5, 4))
             p = TraceLassoPenalty(0.8, design)
-            x = rng.standard_normal(4)
-            w = epsilon_subgradient_witness(p, x, p.subgradient(x), eps=0.0, n_samples=600, seed=seed)
-            assert w is None
+            dense = rng.standard_normal(4)
+            sparse = dense.copy()
+            sparse[seed % 4] = 0.0  # a zero coordinate: its design column leaves the SVD
+            for x in (dense, sparse):
+                w = epsilon_subgradient_witness(p, x, subgradient(p, x), eps=0.0, n_samples=600, seed=seed)
+                assert w is None
 
     def test_dimension_mismatch(self):
         p = TraceLassoPenalty(1.0, np.eye(3))

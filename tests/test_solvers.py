@@ -182,6 +182,14 @@ class TestSchedules:
         # 100**155 = 1e310 overflows, but c / k**p = 1e300 / 1e310 does not
         assert schedule_eps(ErrorSchedule.polynomial(1e300, 155.0), 100) == pytest.approx(1e-10, rel=1e-12)
 
+    @pytest.mark.parametrize("schedule", ["poly:1e-2,2", None], ids=["cli-spec", "none"])
+    def test_config_refuses_what_is_not_a_schedule(self, schedule):
+        # such a config once ran to k = 1 and died there on schedule.kind,
+        # an AttributeError that escaped run_solver without a SolverAbort
+        with pytest.raises(TypeError) as exc:
+            SolverConfig(max_iters=3, solver_kind="ipg", error_schedule=schedule)
+        assert str(exc.value) == f"error_schedule must be an ErrorSchedule, got {schedule!r}"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "make",
