@@ -6,9 +6,9 @@ penalties also have _value, the same number without the check. The
 trace-lasso prox calls it on each dual iterate's primal point, as its
 duality gap's primal term. OSCAR's value is the dot of its ascending
 weights with the ascending magnitudes, one sort and no ranks; the solver
-loop's OSCAR prox site takes the magnitudes from its pool's order instead
-of sorting again, and the L1 site sums the magnitudes it has just
-thresholded.
+loop's OSCAR prox site reads the sorted magnitudes from its pool's clamped
+magnitudes, in reverse, and does not sort again, and the L1 site sums the
+magnitudes it has just thresholded.
 """
 from __future__ import annotations
 

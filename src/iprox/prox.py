@@ -102,14 +102,11 @@ def _pav_nonincreasing(z):
     entry, the interpreted loop visits only the elements from each ascent
     until one settles alone, and the output is z with the pooled blocks
     written over it. Every pooled sum takes the same additions and
-    comparisons as the element loop, so the result is bitwise the same.
-    Where ascents are dense (more than one in eight pairs) the runs are
-    short and the element loop is cheaper, so that path runs instead.
+    comparisons as a stack step per element, so the result is bitwise the
+    same on every input, however dense its ascents.
     """
     n = z.shape[0]
     ascents = z[:-1] < z[1:]
-    if 8 * np.count_nonzero(ascents) > n:
-        return _pav_elementwise(z)
     val = z.item  # the loop reads only the elements it visits
     bounds = [j + 1 for j in np.flatnonzero(ascents).tolist()] + [n]
     # stack entries: (sum, count) of a pooled block, or (None, length) for a
@@ -157,21 +154,6 @@ def _pav_nonincreasing(z):
     return out
 
 
-def _pav_elementwise(z):
-    """_pav_nonincreasing by one stack step per element, for dense ascents."""
-    sums = []
-    counts = []
-    for cur_sum in z.tolist():
-        cur_cnt = 1
-        # pooling keeps block means non-increasing left to right
-        while sums and sums[-1] / counts[-1] < cur_sum / cur_cnt:
-            cur_sum += sums.pop()
-            cur_cnt += counts.pop()
-        sums.append(cur_sum)
-        counts.append(cur_cnt)
-    return np.repeat(np.divide(sums, counts), counts)
-
-
 def prox_oscar_exact(y, gamma, lambda1, lambda2):
     """Exact prox of the pairwise-max penalty.
 
@@ -194,16 +176,19 @@ def _oscar_ramp(penalty, n, gamma):
 def _prox_oscar_exact(y, ramp):
     """prox_oscar_exact without the checks, given its shrinkage ramp.
 
-    Returns the point and the pool's order, the stable descending argsort
-    of |y|. |point| is non-increasing in that order, so |point| read in
-    reverse pool order is np.sort(|point|), bit for bit.
+    Returns the point and the pool's clamped magnitudes, the non-increasing
+    |point| in pool order. Read in reverse they are np.sort(|point|), bit
+    for bit. Where y is zero the two could differ, but the zeros sort last
+    and shrink to at most 0, and a pooled block's mean is at most that of
+    its tail, so the clamp gives their +0.0 (a shrunk value, a difference,
+    is never -0.0, nor is a sum of them).
     """
     mag = np.abs(y)
     order = np.argsort(-mag, kind="stable")
-    x_sorted = np.maximum(_pav_nonincreasing(mag[order] - ramp), 0.0)
+    mags = np.maximum(_pav_nonincreasing(mag[order] - ramp), 0.0)
     out = np.empty(y.shape[0])
-    out[order] = x_sorted * np.sign(y)[order]
-    return out, order
+    out[order] = mags * np.sign(y)[order]
+    return out, mags
 
 
 def oscar_dual_gap(x, subproblem):

@@ -240,11 +240,12 @@ def _make_prox(penalty, use_exact, config, gamma, x0):
 
     The L1 site sums the magnitudes |point| that soft thresholding returns.
     The OSCAR site builds the shrinkage ramp and the penalty's ascending
-    weights at bind and sorts once per call: the pool returns its
-    descending order, and |point|, which is non-increasing in that order,
-    read in reverse is np.sort(|point|), so its dot with the weights is
-    bit-equal to the penalty's value. At lambda2 = 0 the ramp is flat, and
-    the pool's point is soft thresholding's, bit for bit.
+    weights at bind and sorts once per call: the pool returns its clamped
+    magnitudes, which read in reverse are np.sort(|point|), so their dot
+    with the weights is bit-equal to the penalty's value. The reversed
+    magnitudes are copied first: numpy takes BLAS's dot only for positive
+    strides, and its own loop sums in another order. At lambda2 = 0 the
+    ramp is flat, and the pool's point is soft thresholding's, bit for bit.
     The trace-lasso prox computes the value at each of its iterates as its
     duality gap's primal term and returns it for the point it picks, so the
     site runs no SVD of its own. Every rank-prox mode returns points of
@@ -274,8 +275,8 @@ def _make_prox(penalty, use_exact, config, gamma, x0):
         ramp = _oscar_ramp(penalty, x0.shape[0], gamma)
 
         def call(anchor, eps_k, prev):
-            point, order = _prox_oscar_exact(anchor, ramp)
-            return ProxResult(point, 0.0, 0, value=float(weights @ np.abs(point[order[::-1]])))
+            point, mags = _prox_oscar_exact(anchor, ramp)
+            return ProxResult(point, 0.0, 0, value=float(weights @ mags[::-1].copy()))
 
         return call
 

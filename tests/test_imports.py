@@ -1,6 +1,8 @@
-"""Every module of the library and of scripts/ uses each name it imports.
+"""Every module of the library, of scripts/ and of tests/ uses each name it imports.
 
 iprox/__init__.py is left out: it imports names to re-export them.
+tests/test_acceptance.py is left out too: it stays as it is, with its one
+unread import (gen_grouped_regression).
 """
 import ast
 from pathlib import Path
@@ -10,8 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     path
-    for path in [*(ROOT / "src" / "iprox").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    if path.name != "__init__.py"
+    for path in [
+        *(ROOT / "src" / "iprox").glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+    ]
+    if path.name not in ("__init__.py", "test_acceptance.py")
 )
 
 
@@ -31,7 +35,9 @@ def unused_imports(source):
 
 
 def test_modules_are_found():
-    assert {"solvers.py", "prox.py", "trace_keys.py"} <= {path.name for path in MODULES}
+    names = {path.name for path in MODULES}
+    assert {"solvers.py", "prox.py", "trace_keys.py", "test_prox.py", "conftest.py"} <= names
+    assert "test_acceptance.py" not in names
 
 
 def test_an_unread_import_is_reported():

@@ -209,16 +209,13 @@ class TestPoolAdjacentViolators:
         assert out.shape == z.shape and out.dtype == np.float64
         assert out.tobytes() == pav_loop_reference(z).tobytes()
 
-    @pytest.mark.parametrize(
-        "pav", [_pav_nonincreasing, prox_mod._pav_elementwise], ids=["stretches", "elementwise"]
-    )
-    def test_tied_block_means_do_not_rise(self, pav):
+    def test_tied_block_means_do_not_rise(self):
         # blocks [0, 92) and [92, 138) have equal means; merging on the rounded
         # cross-products s1 * c2 < s2 * c1 kept them apart, yet the quotients
         # s / c written out rose by one ulp from out[91] to out[92]
         z = np.full(138, 988.0)
         z[[65, 91, 137]] = 1316.1569926455654
-        out = pav(z)
+        out = _pav_nonincreasing(z)
         assert np.all(np.diff(out) <= 0.0)
         assert out.tobytes() == pav_loop_reference(z).tobytes()
 
@@ -230,18 +227,20 @@ class TestPoolAdjacentViolators:
     def test_solver_traces_match_loop_reference(self, ratio, monkeypatch):
         """robust_oscar under every kind, shipped pooling against the loop form.
 
-        lambda2 = lambda1 gives few ascents per pooling input and lambda2 =
-        10 lambda1 dense ones, so between them both paths run.
+        lambda2 = lambda1 gives few ascents per pooling input, and lambda2 =
+        10 lambda1 many: there some inputs ascend in more than one pair in
+        eight. Every input the runs pool matches the loop form bit for bit,
+        and so do the traces and final points.
         """
         prob = build_problem("robust_oscar", seed=7)
         lam = prob.regularizer.lambda1
         penalty = OscarPenalty(lam, ratio * lam)
-        elementwise = prox_mod._pav_elementwise
-        dense_calls = []
+        pooled = []
 
-        def counted_elementwise(z):
-            dense_calls.append(1)
-            return elementwise(z)
+        def recorded(z):
+            out = _pav_nonincreasing(z)
+            pooled.append((z.copy(), out.copy()))
+            return out
 
         def run_all():
             return [
@@ -250,13 +249,15 @@ class TestPoolAdjacentViolators:
             ]
 
         with monkeypatch.context() as m:
-            m.setattr(prox_mod, "_pav_elementwise", counted_elementwise)
+            m.setattr(prox_mod, "_pav_nonincreasing", recorded)
             shipped = run_all()
         with monkeypatch.context() as m:
             m.setattr(prox_mod, "_pav_nonincreasing", pav_loop_reference)
             reference = run_all()
-        # lambda2 = lambda1 pools by stretches throughout; 10 lambda1 falls back
-        assert (len(dense_calls) > 0) == (ratio == 10.0)
+        dense = [8 * np.count_nonzero(z[:-1] < z[1:]) > z.shape[0] for z, _ in pooled]
+        assert any(dense) == (ratio == 10.0)
+        for z, out in pooled:
+            assert out.tobytes() == pav_loop_reference(z).tobytes()
         for got, want in zip(shipped, reference):
             assert got.key() == want.key()
             assert got.final_point.tobytes() == want.final_point.tobytes()
@@ -307,6 +308,22 @@ class TestProxOscarExact:
         y = rng.standard_normal(5)
         x = prox_oscar_exact(y, 0.5, 0.3, 0.2)
         assert np.all(np.abs(x) <= np.abs(y) + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64, st.integers(1, 60),
+            elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -2.0]) | st.floats(-5, 5),
+        ),
+        st.sampled_from([0.0, 0.1, 1.0]),
+        st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_magnitudes_read_in_reverse_are_the_sorted_abs_point(self, y, lambda1, lambda2):
+        # zeros, -0.0, ties, and either weight at 0
+        ramp = prox_mod._oscar_ramp(OscarPenalty(lambda1, lambda2), y.shape[0], 0.7)
+        point, mags = prox_mod._prox_oscar_exact(y, ramp)
+        assert point.tobytes() == prox_oscar_exact(y, 0.7, lambda1, lambda2).tobytes()
+        assert mags[::-1].tobytes() == np.sort(np.abs(point)).tobytes()
 
 
 class TestDualGap:
