@@ -9,7 +9,7 @@ correntropy bandwidth of 1 meaningful across instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +48,16 @@ class Problem:
     regularizer: object
     x0: np.ndarray
     x_ref: np.ndarray | None = None  # ground truth on the fitted scale
-    extras: dict = field(default_factory=dict)
 
 
 def _standardized(dataset):
+    """The dataset with targets (t - mean) / sd, and sd, taken as 1 for
+    constant targets."""
     mean = float(np.mean(dataset.targets))
     sd = float(np.std(dataset.targets))
     if sd == 0.0:
         sd = 1.0
-    scaled = type(dataset)(dataset.design, (dataset.targets - mean) / sd)
-    return scaled, mean, sd
+    return type(dataset)(dataset.design, (dataset.targets - mean) / sd), sd
 
 
 def _app_params(application, params):
@@ -109,7 +109,7 @@ def build_problem(application, seed=0, params=None, data_path=None):
         lam = 0.1 / math.sqrt(n)
         return Problem(SquareLoss(dataset), L1Penalty(lam), x0, x_ref=x_true)
 
-    scaled, _, sd = _standardized(dataset)
+    scaled, sd = _standardized(dataset)
     x_ref = None if x_true is None else x_true / sd
     loss = CorrentropyLoss(scaled, sigma=1.0)
     if application == "robust_oscar":
@@ -120,13 +120,14 @@ def build_problem(application, seed=0, params=None, data_path=None):
 
 def link_prediction_problem(observed, r, truth=None):
     """Masked logistic loss on an ObservedSignMatrix under rank <= r, from the
-    zero n_users x n_users start. r must lie in [1, n_users]: a bad one
+    zero n_users x n_users start; truth, if given, is the problem's x_ref,
+    and the loss holds observed. r must lie in [1, n_users]: a bad one
     raises ValueError before anything runs. iprox bench and iprox solve
     both build the problem here."""
     x0 = np.zeros((observed.n_users, observed.n_users))
     constraint = RankConstraint(r)  # checks the type first
     check_rank(x0.shape, constraint.r)
-    return Problem(MaskedLogisticLoss(observed), constraint, x0, extras={"truth": truth, "observed": observed})
+    return Problem(MaskedLogisticLoss(observed), constraint, x0, x_ref=truth)
 
 
 def run_configs(run_id, loss, penalty, x0, configs):

@@ -25,6 +25,16 @@ def _corrupt_targets(targets, outlier_frac, rng):
     return targets
 
 
+def _regression(design, x_true, noise_sd, outlier_frac, rng):
+    """(dataset, x_true) with targets design @ x_true, plus seeded noise when
+    noise_sd > 0, then a seeded fraction corrupted: the regression
+    generators' last rng draws, in this order."""
+    targets = design @ x_true
+    if noise_sd > 0:
+        targets = targets + noise_sd * rng.standard_normal(design.shape[0])
+    return RegressionDataset(design, _corrupt_targets(targets, outlier_frac, rng)), x_true
+
+
 def gen_grouped_regression(n, d, n_groups, outlier_frac=0.0, noise_sd=0.0, seed=0):
     """Regression with a piecewise-constant coefficient vector.
 
@@ -45,11 +55,7 @@ def gen_grouped_regression(n, d, n_groups, outlier_frac=0.0, noise_sd=0.0, seed=
     for i, block in enumerate(np.array_split(np.arange(d), n_groups)):
         if i % 2 == 0:
             x_true[block] = values[i]
-    targets = design @ x_true
-    if noise_sd > 0:
-        targets = targets + noise_sd * rng.standard_normal(n)
-    targets = _corrupt_targets(targets, outlier_frac, rng)
-    return RegressionDataset(design, targets), x_true
+    return _regression(design, x_true, noise_sd, outlier_frac, rng)
 
 
 def gen_signed_lowrank(n_users, true_rank, obs_frac, margin=0.5, seed=0):
@@ -104,8 +110,4 @@ def gen_correlated_design(n, d, correlation, sparsity, noise_sd=0.0, outlier_fra
     if sparsity > 0:
         support = rng.choice(d, size=sparsity, replace=False)
         x_true[support] = rng.uniform(0.5, 2.0, size=sparsity) * rng.choice((-1.0, 1.0), size=sparsity)
-    targets = design @ x_true
-    if noise_sd > 0:
-        targets = targets + noise_sd * rng.standard_normal(n)
-    targets = _corrupt_targets(targets, outlier_frac, rng)
-    return RegressionDataset(design, targets), x_true
+    return _regression(design, x_true, noise_sd, outlier_frac, rng)

@@ -50,8 +50,12 @@ class ObservedSignMatrix:
     signs: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        for name in ("rows", "cols"):
+            idx = np.asarray(getattr(self, name))
+            # a cast would truncate 2.9 to 2 and take True as 1; bool is no integer dtype
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+            setattr(self, name, idx.astype(np.int64, copy=False))
         self.signs = np.asarray(self.signs, dtype=np.float64)
         if not (self.rows.shape == self.cols.shape == self.signs.shape) or self.rows.ndim != 1:
             raise ValueError("rows, cols and signs must be 1-d arrays of equal length")

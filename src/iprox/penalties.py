@@ -1,10 +1,11 @@
 """Non-smooth penalties and constraints: the value of each.
 
 A run needs a penalty's value and its prox, and the proxes live in
-iprox.prox. value checks its input; the L1, OSCAR and trace-lasso
-penalties also have _value, the same number without the check. The
-trace-lasso prox calls it on each dual iterate's primal point, as its
-duality gap's primal term. OSCAR's value is the dot of its ascending
+iprox.prox. value checks its input. The trace-lasso penalty also has
+_value, the same number without the check, which its prox calls on each
+dual iterate's primal point, as its duality gap's primal term. The solver
+loop takes the L1 and OSCAR values from its prox sites, so those penalties
+need no unchecked twin. OSCAR's value is the dot of its ascending
 weights with the ascending magnitudes, one sort and no ranks; the solver
 loop's OSCAR prox site reads the sorted magnitudes from its pool's clamped
 magnitudes, in reverse, and does not sort again, and the L1 site sums the
@@ -28,10 +29,7 @@ class L1Penalty:
         check_finite_nonneg(self.lam, "lam")
 
     def value(self, x):
-        return self._value(as_vector(x))
-
-    def _value(self, x):
-        return self.lam * float(np.add.reduce(np.abs(x)))
+        return self.lam * float(np.add.reduce(np.abs(as_vector(x))))
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,7 @@ class OscarPenalty:
         return self.lambda1 + self.lambda2 * np.arange(n)
 
     def value(self, x):
-        return self._value(as_vector(x))
-
-    def _value(self, x):
+        x = as_vector(x)
         return float(self._ascending_weights(x.shape[0]) @ np.sort(np.abs(x)))
 
 

@@ -71,53 +71,56 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class ErrorSchedule:
-    """Per-iteration inexactness targets eps_k.
+    """Per-iteration inexactness targets
 
-    constant: eps_k = c (c = 0 requests exact proximal steps)
-    polynomial: eps_k = c / k**p
-    adaptive: eps_k = max(alpha * prev_step_sq, floor), where prev_step_sq is
-        the squared monitor displacement of the previous iteration
+        eps_k = max(c / k**p, alpha * prev_step_sq, floor),
+
+    where prev_step_sq is the squared monitor displacement of the previous
+    iteration. Every run reads all four constants, each 0 by default; the
+    constructors set only their own:
+
+    constant(c): eps_k = c (c = 0 requests exact proximal steps)
+    polynomial(c, p): eps_k = c / k**p
+    adaptive(alpha, floor): eps_k = max(alpha * prev_step_sq, floor), floor > 0
     """
 
-    kind: str
     c: float = 0.0
     p: float = 0.0
     alpha: float = 0.0
-    floor: float = 1e-12
+    floor: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "polynomial", "adaptive"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         # a nan eps_k would fail every certified_eps > eps_k test, hiding misses
         for name in ("c", "p", "alpha", "floor"):
             check_finite_nonneg(getattr(self, name), name)
-        if self.kind == "adaptive":
-            check_positive(self.floor, "floor")
 
     @classmethod
     def constant(cls, c):
-        return cls("constant", c=c)
+        return cls(c=c)
 
     @classmethod
     def polynomial(cls, c, p):
-        return cls("polynomial", c=c, p=p)
+        return cls(c=c, p=p)
 
     @classmethod
     def adaptive(cls, alpha, floor=1e-12):
-        return cls("adaptive", alpha=alpha, floor=floor)
+        schedule = cls(alpha=alpha, floor=floor)
+        check_positive(floor, "floor")
+        return schedule
 
 
 def schedule_eps(schedule, k, prev_step_sq=0.0):
+    """eps_k at iteration k >= 1 after a squared step prev_step_sq. A term
+    whose constants are 0 is 0, so each constructor's schedule gives its own
+    formula's bits; max keeps its first argument over a nan, so the nan of
+    alpha = 0 times an infinite step drops out."""
     if k < 1:
         raise ValueError("iteration index starts at 1")
-    if schedule.kind == "constant":
-        return schedule.c
-    if schedule.kind == "polynomial":
-        try:
-            return schedule.c / float(k) ** schedule.p
-        except OverflowError:  # k**p passed the largest float: divide in logs
-            return math.exp(math.log(schedule.c) - schedule.p * math.log(k)) if schedule.c else 0.0
-    return max(schedule.alpha * prev_step_sq, schedule.floor)
+    try:
+        decay = schedule.c / float(k) ** schedule.p
+    except OverflowError:  # k**p passed the largest float: divide in logs
+        decay = math.exp(math.log(schedule.c) - schedule.p * math.log(k)) if schedule.c else 0.0
+    return max(decay, schedule.alpha * prev_step_sq, schedule.floor)
 
 
 def momentum_next(t):

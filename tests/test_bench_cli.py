@@ -248,8 +248,8 @@ class TestRecoveryQuality:
     def test_link_prediction_holdout_sign_accuracy(self):
         # threshold calibrated on the first run of this instance, then frozen
         prob = build_problem("link_prediction", seed=0)
-        obs = prob.extras["observed"]
-        truth = prob.extras["truth"]
+        obs = prob.loss.observed
+        truth = prob.x_ref
         trace = run_solver(
             prob.loss, prob.regularizer, prob.x0,
             SolverConfig(max_iters=150, solver_kind="nmaipg"),

@@ -273,6 +273,26 @@ class TestMaskedLogistic:
         with pytest.raises(ValueError):
             ObservedSignMatrix(4, [1, 1], [2, 2], [1.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "rows, cols, name",
+        [([0.5, 2.9], [1, 2], "rows"), ([0, 2], [1.0, 2.0], "cols"), ([True, False], [1, 2], "rows"),
+         (["0", "2"], [1, 2], "rows")],
+        ids=["fractional-rows", "float-cols", "bool-rows", "str-rows"],
+    )
+    def test_non_integer_indices_rejected(self, rows, cols, name):
+        # a cast once took rows [0.5, 2.9] as [0, 2] and [True, False] as [1, 0]
+        with pytest.raises(ValueError, match=f"{name} must hold integer indices"):
+            ObservedSignMatrix(3, rows, cols, [1.0, -1.0])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64, None])
+    def test_integer_or_empty_indices_accepted(self, dtype):
+        # np.asarray([]) is float64: an empty index list has no entry to truncate
+        n = 0 if dtype is None else 2
+        rows, cols = np.array([0, 2][:n], dtype=dtype), np.array([1, 2][:n], dtype=dtype)
+        obs = ObservedSignMatrix(3, rows, cols, [1.0, -1.0][:n])
+        assert obs.rows.dtype == obs.cols.dtype == np.int64
+        assert obs.rows.tolist() == [0, 2][:n] and obs.cols.tolist() == [1, 2][:n]
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             ObservedSignMatrix(4, [1], [2], [0.5])

@@ -1,8 +1,11 @@
 """Solver loop tests against closed forms and independent reimplementations."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iprox.penalties as penalties_mod
 import iprox.prox as prox_mod
@@ -136,6 +139,19 @@ class TestInPlaceArithmetic:
             assert not np.shares_memory(y, v)
 
 
+def per_kind_eps(kind, c, p, alpha, floor, k, prev_step_sq):
+    """eps_k as the schedules computed it when each had a kind tag that
+    picked its constants: the reference the one formula must match."""
+    if kind == "constant":
+        return c
+    if kind == "polynomial":
+        try:
+            return c / float(k) ** p
+        except OverflowError:
+            return math.exp(math.log(c) - p * math.log(k)) if c else 0.0
+    return max(alpha * prev_step_sq, floor)
+
+
 class TestSchedules:
     def test_polynomial_values(self):
         s = ErrorSchedule.polynomial(1.0, 2.0)
@@ -153,8 +169,6 @@ class TestSchedules:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ErrorSchedule("geometric")
-        with pytest.raises(ValueError):
             ErrorSchedule.constant(-1.0)
         with pytest.raises(ValueError):
             ErrorSchedule.adaptive(-0.5)
@@ -166,11 +180,51 @@ class TestSchedules:
         assert schedule_eps(ErrorSchedule.adaptive(0.0), 3, 5.0) == 1e-12
 
     @pytest.mark.parametrize("name", ["c", "p", "alpha", "floor"])
-    @pytest.mark.parametrize("kind", ["constant", "polynomial", "adaptive"])
-    def test_every_constant_is_checked_under_every_kind(self, kind, name):
-        # a kind that ignores a constant still refuses a negative one
+    def test_every_constant_is_checked(self, name):
         with pytest.raises(ValueError, match=f"{name} must be non-negative and finite, got -1.0"):
-            ErrorSchedule(kind, **{name: -1.0})
+            ErrorSchedule(**{name: -1.0})
+
+    def test_a_schedule_holds_only_its_constants(self):
+        assert [f.name for f in dataclasses.fields(ErrorSchedule)] == ["c", "p", "alpha", "floor"]
+        assert ErrorSchedule() == ErrorSchedule.constant(0.0) == ErrorSchedule.polynomial(0.0, 0.0)
+        assert ErrorSchedule.constant(0.25) == ErrorSchedule.polynomial(0.25, 0.0)
+        assert ErrorSchedule.adaptive(0.5) == ErrorSchedule(alpha=0.5, floor=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["constant", "polynomial", "adaptive"]),
+        c=st.floats(min_value=0.0, max_value=1e300),
+        p=st.one_of(st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=10.0, max_value=1e4)),
+        alpha=st.floats(min_value=0.0, max_value=1e300),
+        floor=st.floats(min_value=1e-300, max_value=1e300),
+        k=st.one_of(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=10**9)),
+        prev_step_sq=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_one_formula_gives_each_kind_its_own_bits(self, kind, c, p, alpha, floor, k, prev_step_sq):
+        if kind == "constant":
+            s = ErrorSchedule.constant(c)
+        elif kind == "polynomial":
+            s = ErrorSchedule.polynomial(c, p)
+        else:
+            s = ErrorSchedule.adaptive(alpha, floor)
+        want = per_kind_eps(kind, c, p, alpha, floor, k, prev_step_sq)
+        assert np.float64(schedule_eps(s, k, prev_step_sq)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "k, prev_step_sq, term",
+        [(1, 1e-6, "decay"), (2, 1.0, "alpha"), (10, 1e-6, "floor")],
+    )
+    def test_every_constant_set_gives_the_max_of_three_terms(self, k, prev_step_sq, term):
+        s = ErrorSchedule(c=1e-2, p=2.0, alpha=0.5, floor=1e-3)
+        terms = {"decay": 1e-2 / k**2.0, "alpha": 0.5 * prev_step_sq, "floor": 1e-3}
+        assert max(terms.values()) == terms[term]
+        assert schedule_eps(s, k, prev_step_sq) == terms[term]
+
+    def test_adaptive_without_alpha_gives_its_floor_after_an_infinite_step(self):
+        # 0 * inf is nan; the max with the zero decay term drops it, where the
+        # per-kind rule max(alpha * prev_step_sq, floor) returned nan
+        assert math.isnan(per_kind_eps("adaptive", 0.0, 0.0, 0.0, 1e-12, 3, math.inf))
+        assert schedule_eps(ErrorSchedule.adaptive(0.0), 3, math.inf) == 1e-12
 
     def test_polynomial_past_float_range_underflows_to_zero(self):
         # 10**400 overflows a float; c / k**p is then below the smallest subnormal
